@@ -11,6 +11,7 @@
 #   ./ci.sh fuzz-smoke        deterministic fuzzer over every target
 #   ./ci.sh serve-smoke       real-socket authoritative DNS round trip
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
+#   ./ci.sh bench-smoke       perfbench builds against the crates and its tests pass
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
 set -eu
@@ -200,6 +201,14 @@ serve_smoke() {
     rm -rf target/ci-serve
 }
 
+# The benchmark harness (perfbench/, its own cargo workspace) compiles
+# against the crates' public APIs; building and testing it here catches an
+# API change that would break the benchmark.
+bench_smoke() {
+    echo "==> smoke: perfbench tests (benchmark harness builds and runs)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 # Workspace-native static analysis: determinism, panic-safety and hygiene
 # invariants must hold (waivers need written reasons). --deny promotes
 # warnings (e.g. stale waivers) to failures so CI stays tidy. The SARIF
@@ -265,6 +274,11 @@ scale-smoke)
     echo "==> scale smoke green"
     exit 0
     ;;
+bench-smoke)
+    bench_smoke
+    echo "==> bench smoke green"
+    exit 0
+    ;;
 analyze)
     analyze
     echo "==> analyze green"
@@ -303,6 +317,7 @@ stream_smoke
 fuzz_smoke
 serve_smoke
 scale_smoke
+bench_smoke
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline

@@ -50,6 +50,7 @@ pub const PANIC_SAFETY_SCOPE: &[&str] = &[
     "crates/cluster/src/transport.rs",
     "crates/store/src/writer.rs",
     "crates/measure/src/pipeline.rs",
+    "crates/measure/src/snapshot.rs",
     "crates/store/src/sharded.rs",
 ];
 

@@ -5,10 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dps_authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
+use dps_columnar::StringDict;
 use dps_ecosystem::{ScenarioParams, Tld, World};
 use dps_measure::collector::{SldInterner, WirePath};
 use dps_measure::pipeline::{sweep_with_path, sweep_with_path_supervised};
-use dps_measure::{SnapshotStore, Source, SupervisorConfig};
+use dps_measure::{Source, SupervisorConfig, SweepMetrics};
 use dps_netsim::{Day, Network};
 use std::sync::Arc;
 
@@ -39,28 +40,29 @@ fn bench(c: &mut Criterion) {
     group.bench_function("wire_sweep_plain", |b| {
         b.iter(|| {
             let mut path = wire_path(&world, 17);
-            let mut store = SnapshotStore::new();
+            let mut dict = StringDict::new();
             let mut interner = SldInterner::new();
-            sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
-            store.total_stored_bytes()
+            let page = sweep_with_path(&world, &mut path, Source::Com, 0, &mut dict, &mut interner);
+            page.table.rows()
         })
     });
     group.bench_function("wire_sweep_supervised", |b| {
         b.iter(|| {
             let mut path = wire_path(&world, 17);
-            let mut store = SnapshotStore::new();
+            let mut dict = StringDict::new();
             let mut interner = SldInterner::new();
-            let q = sweep_with_path_supervised(
+            let page = sweep_with_path_supervised(
                 &world,
                 &mut path,
                 Source::Com,
                 0,
-                &mut store,
+                &mut dict,
                 &mut interner,
                 &SupervisorConfig::default(),
+                &SweepMetrics::default(),
             );
-            assert_eq!(q.failed, 0);
-            store.total_stored_bytes()
+            assert_eq!(page.quality.failed, 0);
+            page.table.rows()
         })
     });
     group.finish();

@@ -1,9 +1,9 @@
 //! Regenerating every table and figure of the paper.
 //!
 //! [`Context::build`] runs the whole pipeline once (world → study →
-//! classification scan); each `exp_*` function then derives one artifact,
-//! returning a printable summary and writing machine-readable CSV into the
-//! output directory.
+//! archive → snapshot store → classification scan); each `exp_*` function
+//! then derives one artifact, returning a printable summary and writing
+//! machine-readable CSV into the output directory.
 
 use dps_core::discovery::{discover, seeds_from_registry, DiscoveryConfig};
 use dps_core::growth::{self, GrowthConfig};
@@ -56,10 +56,10 @@ pub struct ExperimentConfig {
     pub stride: u32,
     /// Where CSV artifacts go.
     pub out_dir: PathBuf,
-    /// Optional archive cache: resume/load the single-file `dps-store`
-    /// archive under this directory (a killed sweep restarts from its last
-    /// committed day), or fall back to a legacy loose-file archive if one
-    /// is already there. Without it the study runs purely in memory.
+    /// Optional archive directory: the study sweeps into (or resumes, or
+    /// just loads) the `dps-store` archive there, so a killed sweep
+    /// restarts from its last committed day. Without it the archive goes
+    /// to a scratch directory under `out_dir` that is deleted once loaded.
     pub store_dir: Option<PathBuf>,
 }
 
@@ -77,18 +77,9 @@ impl Default for ExperimentConfig {
     }
 }
 
-impl ExperimentConfig {
-    /// A quick configuration for smoke runs and benches.
-    pub fn quick() -> Self {
-        Self {
-            scale: 0.05,
-            days: 120,
-            cc_start: 80,
-            out_dir: PathBuf::from("target/experiments-quick"),
-            ..Self::default()
-        }
-    }
-}
+/// Where [`Context::build`] sweeps when no archive directory is given:
+/// a scratch directory under the output directory, deleted once loaded.
+const SCRATCH_ARCHIVE_DIR: &str = ".study-archive";
 
 /// Everything the experiments share: one study, one scan.
 pub struct Context {
@@ -126,48 +117,37 @@ impl Context {
             cc_start_day: config.cc_start,
             stride: config.stride,
         });
-        let store = match &config.store_dir {
-            // A legacy loose-file archive (no single-file archive beside
-            // it): read-only fallback with estimated data-point counts.
-            Some(dir)
-                if dir.join("index.tsv").exists()
-                    && !dir.join(dps_measure::ARCHIVE_FILE).exists() =>
-            {
-                let store = SnapshotStore::load_dir(dir).expect("load legacy store");
-                eprintln!(
-                    "[{:>7.1?}] loaded legacy loose-file archive: {} (note: data-point counts are estimates)",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes())
-                );
-                store
-            }
-            // The single-file archive path: a complete archive just loads;
-            // a partial one (killed sweep) resumes from its last committed
-            // day; a missing one is measured and written as we go.
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create archive dir");
-                let path = dir.join(dps_measure::ARCHIVE_FILE);
-                let store = study
-                    .run_archived(&mut world, &path)
-                    .expect("archived study");
-                eprintln!(
-                    "[{:>7.1?}] study archived: {} at {} (exact data-point counts)",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes()),
-                    path.display()
-                );
-                store
-            }
-            None => {
-                let store = study.run(&mut world);
-                eprintln!(
-                    "[{:>7.1?}] study complete: {} stored",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes())
-                );
-                store
-            }
+        // Sweep into the archive (a complete one just loads; a partial one
+        // — a killed sweep — resumes from its last committed day), then
+        // read it back. Without --archive the archive is scratch.
+        let (dir, scratch) = match &config.store_dir {
+            Some(dir) => (dir.clone(), false),
+            None => (config.out_dir.join(SCRATCH_ARCHIVE_DIR), true),
         };
+        if scratch {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::create_dir_all(&dir).expect("create archive dir");
+        let path = dir.join(dps_measure::ARCHIVE_FILE);
+        study
+            .run_archived(&mut world, &path)
+            .expect("archived study");
+        let store = SnapshotStore::load_archive(&path).expect("load archive");
+        if scratch {
+            std::fs::remove_dir_all(&dir).expect("remove scratch archive");
+            eprintln!(
+                "[{:>7.1?}] study complete: {} stored",
+                t0.elapsed(),
+                report::human_bytes(store.total_stored_bytes())
+            );
+        } else {
+            eprintln!(
+                "[{:>7.1?}] study archived: {} at {} (exact data-point counts)",
+                t0.elapsed(),
+                report::human_bytes(store.total_stored_bytes()),
+                path.display()
+            );
+        }
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scan = Scanner::new(&refs).run(&store);
         eprintln!(

@@ -21,14 +21,13 @@ use crate::scheduler::{Disposition, LeaseGrant, Scheduler, SchedulerConfig, Unit
 use crate::transport::{Conn, FrameTx};
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::collector::{RawRow, SldInterner};
-use dps_measure::observation::{schema, Source};
+use dps_measure::collector::{source_entries, RawRow, SldInterner};
+use dps_measure::observation::Source;
 use dps_measure::pipeline::{
-    append_day_observed, day_committed, due_sources_for, reborrow_observer, resume_store_observed,
-    DayObserver, SourcePage, ANALYSIS_SOURCE,
+    append_day, day_committed, due_sources_for, reborrow_observer, resume_store_observed,
+    DayObserver, PageBuilder, ANALYSIS_SOURCE,
 };
-use dps_measure::quality::{CauseCounts, DayQuality};
-use dps_measure::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
+use dps_measure::snapshot::UNIQUE_KEY_COLUMN;
 use dps_measure::telemetry::CATALOG;
 use dps_measure::StudyConfig;
 use dps_netsim::Day;
@@ -101,10 +100,8 @@ pub struct ClusterReport {
     pub workers_admitted: u32,
 }
 
-/// A finished cluster run.
+/// A finished cluster run (the archive itself is on disk).
 pub struct ClusterOutcome {
-    /// The filled snapshot store (same content as the archive).
-    pub store: SnapshotStore,
     /// Provenance and fault statistics.
     pub report: ClusterReport,
 }
@@ -148,8 +145,8 @@ pub fn serve_observed(
     mut observer: Option<&mut dyn DayObserver>,
 ) -> io::Result<ClusterOutcome> {
     let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))?;
-    let mut store = SnapshotStore::new();
-    resume_store_observed(&mut store, &writer, path, reborrow_observer(&mut observer))?;
+    resume_store_observed(&writer, path, reborrow_observer(&mut observer))?;
+    let mut dict = writer.dict().clone();
     let mut interner = SldInterner::new();
     let mut world = World::imc2016(config.params);
     let mut sched = Scheduler::new(config.scheduler);
@@ -294,34 +291,18 @@ pub fn serve_observed(
         for &source in &due {
             let sid = source.index() as u8;
             let shards = shard_counts.get(&sid).copied().unwrap_or(1);
-            let mut builder = dps_columnar::TableBuilder::new(schema());
-            let mut data_points = 0u64;
-            let mut attempted = 0u32;
-            let mut failed = 0u32;
-            let mut causes = CauseCounts::default();
+            let mut page = PageBuilder::new(day, source);
             for shard in 0..shards {
                 let key = UnitKey { source: sid, shard };
                 for raw in collected.remove(&key).unwrap_or_default() {
-                    attempted += 1;
-                    failed += u32::from(raw.failed && raw.retryable);
-                    causes.merge(&raw.causes);
-                    let row = raw.intern(&mut store.dict, &mut interner);
-                    data_points += u64::from(row.data_points);
-                    builder.push_row(&row.pack(day, source));
+                    page.push_raw(raw, &mut dict, &mut interner);
                 }
             }
-            let mut quality = DayQuality::perfect(day, source, attempted, failed);
-            quality.causes = causes;
-            pages.push(SourcePage {
-                source,
-                table: builder.finish(),
-                data_points,
-                quality,
-            });
+            pages.push(page.finish());
         }
-        append_day_observed(
+        append_day(
             &mut writer,
-            &mut store,
+            &dict,
             day,
             pages,
             day_telemetry,
@@ -334,7 +315,7 @@ pub fn serve_observed(
         w.tx.send_vec(wire::encode(&Msg::Drain)).ok();
     }
     report.workers_admitted = next_worker - 1;
-    Ok(ClusterOutcome { store, report })
+    Ok(ClusterOutcome { report })
 }
 
 /// Handles one decoded frame from worker `id`.
@@ -505,10 +486,7 @@ fn spawn_reader(id: u32, mut rx: Box<dyn crate::transport::FrameRx>, events: mps
 
 /// Entry count of a source's input list for the world's current day.
 fn source_len(world: &World, source: Source) -> usize {
-    match source.tld() {
-        Some(tld) => world.zone_entries(tld).len(),
-        None => world.alexa_entries().len(),
-    }
+    source_entries(world, source).len()
 }
 
 /// Shard count for a source of `len` entries: the configured count, or

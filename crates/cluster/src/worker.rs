@@ -14,9 +14,9 @@
 
 use crate::transport::Conn;
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
-use dps_ecosystem::{ScenarioParams, World, ZoneEntry};
-use dps_measure::collector::{collect_raw, BulkPath, RawRow};
-use dps_measure::observation::{entry_code, Source};
+use dps_ecosystem::{ScenarioParams, World};
+use dps_measure::collector::{collect_entries, source_entries, RawRow};
+use dps_measure::observation::Source;
 use dps_measure::telemetry::CATALOG;
 use dps_netsim::Day;
 use std::io;
@@ -227,32 +227,11 @@ fn sweep_lease(
         return None;
     }
     world.advance_to(Day(day));
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
+    let entries = source_entries(world, source);
     let end = (start as usize).checked_add(count as usize)?;
     let slice = entries.get(start as usize..end)?;
-    let pfx2as = world.pfx2as();
-    // Same fan-out shape as the single-process collector: one map task
-    // per chunk of the leased range.
-    let chunk = slice
-        .len()
-        .div_ceil(dps_columnar::mapreduce::default_workers().max(1))
-        .max(1);
-    let chunks: Vec<&[ZoneEntry]> = slice.chunks(chunk).collect();
-    let world_ref: &World = world;
-    let raw_chunks = dps_columnar::mapreduce::par_map(&chunks, |batch| {
-        let mut path = BulkPath::new(world_ref);
-        batch
-            .iter()
-            .map(|&entry| {
-                let apex = world_ref.entry_name(entry);
-                collect_raw(&mut path, &apex, entry_code(entry), &pfx2as)
-            })
-            .collect::<Vec<_>>()
-    });
-    Some(raw_chunks.into_iter().flatten().collect())
+    let rows = collect_entries(world, slice, &world.pfx2as());
+    Some(rows.into_iter().flatten().collect())
 }
 
 /// Index of a metric name in the measure catalog.

@@ -6,7 +6,7 @@ use dps_cluster::manager::{serve, ClusterConfig, ClusterOutcome};
 use dps_cluster::transport::{loopback_conn, Conn};
 use dps_cluster::worker::{run_agent, WorkerOptions, WorkerSummary};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{Study, StudyConfig};
+use dps_measure::{SnapshotStore, Study, StudyConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -185,23 +185,26 @@ fn cluster_telemetry_pages_match_single_process() {
         &path,
         vec![WorkerOptions::default(), WorkerOptions::default()],
     );
-    let outcome = outcome.unwrap();
-    // The merged store carries per-day telemetry equal to the
-    // single-process study's.
-    let params = tiny_params(seed);
-    let mut world = World::imc2016(params);
-    let single = Study::new(StudyConfig {
-        days: params.gtld_days,
-        cc_start_day: params.cc_start_day,
-        stride: 1,
-    })
-    .run(&mut world);
+    outcome.unwrap();
+    // The merged archive carries per-day telemetry and data points equal
+    // to the single-process study's.
+    let reference = temp_archive("tele-ref");
+    single_process_archive(seed, &reference);
+    let cluster = SnapshotStore::load_archive(&path).unwrap();
+    let single = SnapshotStore::load_archive(&reference).unwrap();
     for s in [Source::Com, Source::Nl] {
         assert_eq!(
-            outcome.store.stats(s).data_points,
+            cluster.stats(s).data_points,
             single.stats(s).data_points,
             "{s:?}"
         );
     }
+    let days: Vec<u32> = cluster.all_telemetry().map(|(d, _)| d).collect();
+    assert_eq!(days, vec![0, 1, 2, 3], "one telemetry page per day");
+    assert_eq!(
+        cluster.merged_telemetry().to_json(),
+        single.merged_telemetry().to_json()
+    );
+    std::fs::remove_file(&reference).ok();
     std::fs::remove_file(&path).ok();
 }

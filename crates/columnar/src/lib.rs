@@ -19,15 +19,10 @@
 //! assert_eq!(table.rows(), 1000);
 //! assert_eq!(table.column_by_name("asn").unwrap()[999], 13335);
 //!
-//! // Parallel fold over many tables.
+//! // Parallel map over many tables, results in input order.
 //! let tables = vec![Table::from_bytes(&bytes).unwrap()];
-//! let total: u64 = mapreduce::par_map_reduce(
-//!     &tables,
-//!     |t| t.rows() as u64,
-//!     || 0,
-//!     |a, b| a + b,
-//! );
-//! assert_eq!(total, 1000);
+//! let rows: Vec<usize> = mapreduce::par_map(&tables, |t| t.rows());
+//! assert_eq!(rows, vec![1000]);
 //! ```
 
 pub mod dictionary;

@@ -1,10 +1,9 @@
 //! A MapReduce-style parallel engine on crossbeam scoped threads — the
 //! Hadoop stand-in for analysing hundreds of daily snapshot tables.
 //!
-//! Work is split into contiguous chunks, one worker per core; each worker
-//! folds its chunk locally and the partial results are combined at the
-//! barrier. Determinism: `combine` is applied in chunk order, so any
-//! associative `combine` yields stable results.
+//! Work is split into contiguous chunks, one worker per core; results are
+//! gathered in item order at the barrier, so callers merge them
+//! deterministically.
 
 use crossbeam::thread;
 
@@ -13,38 +12,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parallel map + fold over `items`.
-///
-/// * `map` turns one item into an accumulator contribution,
-/// * `init` produces the identity accumulator,
-/// * `combine` merges two accumulators (must be associative).
-pub fn par_map_reduce<T, A, M, I, C>(items: &[T], map: M, init: I, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn(&T) -> A + Sync,
-    I: Fn() -> A + Sync,
-    C: Fn(A, A) -> A + Sync,
-{
-    let workers = default_workers().min(items.len().max(1));
-    if workers <= 1 || items.len() < 2 {
-        return items.iter().map(&map).fold(init(), &combine);
-    }
-    let chunk = items.len().div_ceil(workers);
-    let partials: Vec<A> = thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| s.spawn(|_| slice.iter().map(&map).fold(init(), &combine)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope");
-    partials.into_iter().fold(init(), combine)
 }
 
 /// Parallel for-each with an index (used by the measurement worker cloud).
@@ -106,20 +73,6 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn map_reduce_sums() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let total = par_map_reduce(&items, |&x| x, || 0u64, |a, b| a + b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn map_reduce_empty_and_single() {
-        let empty: Vec<u64> = vec![];
-        assert_eq!(par_map_reduce(&empty, |&x| x, || 7u64, |a, b| a + b), 7);
-        assert_eq!(par_map_reduce(&[5u64], |&x| x, || 0u64, |a, b| a + b), 5);
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
         let mapped = par_map(&items, |&x| x * 2);
@@ -135,29 +88,5 @@ mod tests {
             sum.fetch_add(u64::from(v) + 1, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), (1..=503).sum::<u64>());
-    }
-
-    #[test]
-    fn reduce_with_vec_accumulators() {
-        // Non-numeric accumulator: collect histogram.
-        let items: Vec<u32> = (0..999).map(|i| i % 10).collect();
-        let hist = par_map_reduce(
-            &items,
-            |&x| {
-                let mut h = vec![0u32; 10];
-                h[x as usize] += 1;
-                h
-            },
-            || vec![0u32; 10],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-        assert_eq!(hist.iter().sum::<u32>(), 999);
-        assert_eq!(hist[0], 100);
-        assert_eq!(hist[9], 99);
     }
 }

@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn small_world_breakdown_matches_postures() {
         use dps_ecosystem::{ScenarioParams, World};
-        use dps_measure::{Study, StudyConfig};
+        use dps_measure::StudyConfig;
         let params = ScenarioParams {
             seed: 13,
             scale: 0.1,
@@ -202,12 +202,14 @@ mod tests {
             cc_start_day: 2,
         };
         let mut world = World::imc2016(params);
-        let store = Study::new(StudyConfig {
-            days: 1,
-            cc_start_day: 99,
-            stride: 1,
-        })
-        .run(&mut world);
+        let store = crate::archived_store(
+            &mut world,
+            StudyConfig {
+                days: 1,
+                cc_start_day: 99,
+                stride: 1,
+            },
+        );
         let refs = crate::references::CompiledRefs::compile(
             &crate::references::ProviderRefs::paper_table2(),
             &store.dict,

@@ -292,7 +292,7 @@ fn for_each_sampled_row(store: &SnapshotStore, sampled: &HashSet<u32>, mut f: im
 mod tests {
     use super::*;
     use dps_ecosystem::{ScenarioParams, World};
-    use dps_measure::{Study, StudyConfig};
+    use dps_measure::StudyConfig;
 
     /// The marketing keywords an analyst would search AS-to-name data for.
     pub const PROVIDER_KEYWORDS: [&str; 9] = [
@@ -329,12 +329,14 @@ mod tests {
             seed: 9,
         });
         let seeds_list = seeds_from_registry(world.as_registry(), &PROVIDER_KEYWORDS);
-        let store = Study::new(StudyConfig {
-            days: 40,
-            cc_start_day: 40,
-            stride: 1,
-        })
-        .run(&mut world);
+        let store = crate::archived_store(
+            &mut world,
+            StudyConfig {
+                days: 40,
+                cc_start_day: 40,
+                stride: 1,
+            },
+        );
         let config = DiscoveryConfig {
             day_stride: 5,
             ..Default::default()

@@ -43,3 +43,27 @@ pub mod util;
 pub use quality::{QualityMask, DEFAULT_MIN_COVERAGE};
 pub use references::{CompiledRefs, ProviderRefs, RefKind};
 pub use scan::{ScanOutput, Scanner, SeriesSet, Timelines};
+
+/// Measures `config` over `world` into a temp-dir archive and loads it
+/// back (unit-test support).
+#[cfg(test)]
+pub(crate) fn archived_store(
+    world: &mut dps_ecosystem::World,
+    config: dps_measure::StudyConfig,
+) -> dps_measure::SnapshotStore {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "dps-core-test-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(dps_measure::ARCHIVE_FILE);
+    dps_measure::Study::new(config)
+        .run_archived(world, &path)
+        .unwrap();
+    let store = dps_measure::SnapshotStore::load_archive(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    store
+}

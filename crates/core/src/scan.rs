@@ -140,48 +140,6 @@ impl<'a> Scanner<'a> {
         self.merge(days, partials)
     }
 
-    /// Runs the full pass directly over a `dps-store` archive file, without
-    /// materialising a [`SnapshotStore`] first. Pages are fetched (and
-    /// decoded at most once per pass — repeat passes hit the archive's page
-    /// cache) on the MapReduce worker pool. Unknown source ids in the
-    /// archive are an error.
-    pub fn run_archive(&self, archive: &dps_store::Archive) -> std::io::Result<ScanOutput> {
-        let days = archive.catalog().days(Source::Com.index() as u8);
-        let day_pos: HashMap<u32, usize> = days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-
-        let mut tasks: Vec<(Source, u32)> = Vec::new();
-        for &(day, source) in archive.catalog().pages.keys() {
-            if source == dps_measure::QUALITY_SOURCE
-                || source == dps_measure::TELEMETRY_SOURCE
-                || source == dps_measure::ANALYSIS_SOURCE
-            {
-                // Per-day quality records, telemetry snapshots and
-                // streaming-analysis checkpoints ride in the same archive
-                // but are not measurement data; the mask layer, `dpscope
-                // metrics` and `dps-stream` read them instead.
-                continue;
-            }
-            let source = Source::from_index(u32::from(source))
-                .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-            if day_pos.contains_key(&day) {
-                tasks.push((source, day));
-            }
-        }
-        // The paper's Table 1 order (sources outer, days inner) keeps the
-        // merge deterministic and identical to `run` over the same data.
-        tasks.sort_by_key(|&(source, day)| (source.index(), day));
-
-        let results = dps_columnar::mapreduce::par_map(&tasks, |&(source, day)| {
-            let table = archive
-                .table(day, source.index() as u8)?
-                .ok_or_else(|| std::io::Error::other("catalog-listed page missing"))?;
-            Ok::<_, std::io::Error>(self.map_day(source, day, &table))
-        });
-        let partials = results.into_iter().collect::<std::io::Result<Vec<_>>>()?;
-
-        Ok(self.merge(days, partials))
-    }
-
     /// Runs the full pass over either archive layout. For a sharded
     /// archive each shard's sub-page is its own map task, so one logical
     /// day table is classified by up to `n_shards` workers in parallel;
@@ -341,7 +299,7 @@ mod tests {
             cc_start_day: 20,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = crate::archived_store(&mut world, config);
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         Scanner::new(&refs).run(&store)
     }
@@ -387,33 +345,50 @@ mod tests {
         assert!(full > 0, "always-on timelines exist");
     }
 
-    #[test]
-    fn archive_scan_matches_in_memory_scan() {
+    /// Measures a 10-day study into an archive with `shards` shard files
+    /// and returns the archive path (inside its own temp directory).
+    fn archived(tag: &str, shards: u32) -> std::path::PathBuf {
         let mut world = World::imc2016(ScenarioParams::tiny(11));
         let config = StudyConfig {
             days: 10,
             cc_start_day: 6,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
-        let path =
-            std::env::temp_dir().join(format!("dps-core-scan-archive-{}.dps", std::process::id()));
-        store.save_archive(&path).unwrap();
-        let archive = dps_store::Archive::open(&path).unwrap();
+        let dir = std::env::temp_dir().join(format!("dps-core-scan-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(dps_measure::ARCHIVE_FILE);
+        Study::new(config)
+            .with_shards(shards)
+            .run_archived(&mut world, &path)
+            .unwrap();
+        path
+    }
+
+    fn assert_same_scan(a: &ScanOutput, b: &ScanOutput) {
+        assert_eq!(a.series.days, b.series.days);
+        assert_eq!(a.series.zone_sizes, b.series.zone_sizes);
+        assert_eq!(a.series.provider_any, b.series.provider_any);
+        assert_eq!(a.series.provider_asn, b.series.provider_asn);
+        assert_eq!(a.series.provider_cname, b.series.provider_cname);
+        assert_eq!(a.series.provider_ns, b.series.provider_ns);
+        assert_eq!(a.series.tld_any, b.series.tld_any);
+        assert_eq!(a.series.source_any, b.series.source_any);
+        assert_eq!(a.timelines.map.len(), b.timelines.map.len());
+    }
+
+    /// `run_store` over a single-file archive opened directly reproduces
+    /// the scan over the store rehydrated from it.
+    #[test]
+    fn archive_scan_matches_in_memory_scan() {
+        let path = archived("single", 1);
+        let store = SnapshotStore::load_archive(&path).unwrap();
+        let reader = dps_store::StoreReader::Single(dps_store::Archive::open(&path).unwrap());
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
         let mem = scanner.run(&store);
-        let arch = scanner.run_archive(&archive).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(arch.series.days, mem.series.days);
-        assert_eq!(arch.series.zone_sizes, mem.series.zone_sizes);
-        assert_eq!(arch.series.provider_any, mem.series.provider_any);
-        assert_eq!(arch.series.provider_asn, mem.series.provider_asn);
-        assert_eq!(arch.series.provider_cname, mem.series.provider_cname);
-        assert_eq!(arch.series.provider_ns, mem.series.provider_ns);
-        assert_eq!(arch.series.tld_any, mem.series.tld_any);
-        assert_eq!(arch.series.source_any, mem.series.source_any);
-        assert_eq!(arch.timelines.map.len(), mem.timelines.map.len());
+        let arch = scanner.run_store(&reader).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        assert_same_scan(&arch, &mem);
     }
 
     /// `run_store` over a sharded archive must reproduce the in-memory
@@ -421,34 +396,16 @@ mod tests {
     /// counts, so shard count is invisible in every output series.
     #[test]
     fn sharded_scan_matches_single_file_scan() {
-        let mut world = World::imc2016(ScenarioParams::tiny(11));
-        let config = StudyConfig {
-            days: 10,
-            cc_start_day: 6,
-            stride: 1,
-        };
-        let store = Study::new(config).run(&mut world);
-        let dir =
-            std::env::temp_dir().join(format!("dps-core-scan-sharded-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("archive.dps");
-        store.save_archive_with_shards(&path, 3).unwrap();
+        let path = archived("sharded", 3);
         let reader = dps_store::StoreReader::open_auto(&path).unwrap();
         assert!(reader.is_sharded());
+        let store = SnapshotStore::load_archive(&path).unwrap();
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
         let mem = scanner.run(&store);
         let sharded = scanner.run_store(&reader).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(sharded.series.days, mem.series.days);
-        assert_eq!(sharded.series.zone_sizes, mem.series.zone_sizes);
-        assert_eq!(sharded.series.provider_any, mem.series.provider_any);
-        assert_eq!(sharded.series.provider_asn, mem.series.provider_asn);
-        assert_eq!(sharded.series.provider_cname, mem.series.provider_cname);
-        assert_eq!(sharded.series.provider_ns, mem.series.provider_ns);
-        assert_eq!(sharded.series.tld_any, mem.series.tld_any);
-        assert_eq!(sharded.series.source_any, mem.series.source_any);
-        assert_eq!(sharded.timelines.map.len(), mem.timelines.map.len());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        assert_same_scan(&sharded, &mem);
     }
 
     #[test]

@@ -693,12 +693,15 @@ impl Builder {
                 members.push(id);
             }
 
-            // Net growth or decline, spread over the period.
+            // Net growth or decline, spread over the period. A one-day
+            // study still draws a day (past its window, so the change
+            // never shows) to keep the random stream aligned.
+            let change_window = days.saturating_sub(1).max(1);
             if end > start {
                 for _ in 0..end - start {
                     let tld = self.dps_tld();
                     let id = self.claim_filler(tld);
-                    let day = Day(1 + self.rng.gen_range(0..days - 1));
+                    let day = Day(1 + self.rng.gen_range(0..change_window));
                     let method = organic_method(p, &mut self.rng);
                     self.events.push(Event {
                         day,
@@ -713,7 +716,7 @@ impl Builder {
             } else {
                 members.shuffle(&mut self.rng);
                 for id in members.iter().take((start - end) as usize) {
-                    let day = Day(1 + self.rng.gen_range(0..days - 1));
+                    let day = Day(1 + self.rng.gen_range(0..change_window));
                     self.events.push(Event {
                         day,
                         action: Action::SetDiversion(*id, Diversion::None),

@@ -958,6 +958,46 @@ mod tests {
         panic!("no domain matches");
     }
 
+    /// Routing as measured day by day: recording each day's `pfx2as`
+    /// shows the scripted ENOM → Verisign origin flip on day 30.
+    #[test]
+    fn daily_pfx2as_history_records_the_enom_flip() {
+        use dps_netsim::{OriginChange, RibHistory};
+        let mut world = World::imc2016(ScenarioParams {
+            seed: 4,
+            scale: 0.05,
+            gtld_days: 35,
+            cc_start_day: 35,
+        });
+        let mut history = RibHistory::new();
+        for day in 0..35 {
+            world.advance_to(Day(day));
+            history.record(Day(day), world.pfx2as());
+        }
+        assert_eq!(history.len(), 35);
+        let changes = history.diff(Day(29), Day(30));
+        let flip = changes.iter().find_map(|c| match c {
+            OriginChange::OriginFlip { from, to, .. } => Some((from.clone(), to.clone())),
+            _ => None,
+        });
+        let (from, to) = flip.expect("ENOM→Verisign flip recorded on day 30");
+        assert_eq!(from[0].0, 21740, "ENOM before");
+        assert_eq!(to[0].0, 26415, "Verisign during diversion");
+    }
+
+    /// A one-day study window builds (regression: scheduling organic
+    /// adoption drew from an empty day range and panicked).
+    #[test]
+    fn one_day_world_builds() {
+        let mut world = World::imc2016(ScenarioParams {
+            gtld_days: 1,
+            cc_start_day: 1,
+            ..ScenarioParams::tiny(3)
+        });
+        world.advance_to(Day(0));
+        assert!(!world.zone_entries(Tld::Com).is_empty());
+    }
+
     /// Regression for the per-call `Vec<ZoneEntry>` rebuild: within one
     /// day every `zone_entries`/`alexa_entries` call must hand back the
     /// *same* allocation (an `Arc` clone, zero new collections), and

@@ -1,15 +1,16 @@
 //! Stage I: collecting one name's records through a query path.
 
-use crate::observation::Row;
+use crate::observation::{entry_code, Row, Source};
 use crate::quality::CauseCounts;
 use dps_authdns::resolver::{Resolution, ResolveError, Resolver};
 use dps_columnar::StringDict;
 use dps_dns::{Name, RData, Rcode, RrType};
-use dps_ecosystem::World;
+use dps_ecosystem::{World, ZoneEntry};
 use dps_netsim::Pfx2As;
 // dps: allow-file(unordered-collection, reason = "SldInterner's caches are keyed lookups only, never iterated; dictionary ids are assigned by StringDict in first-intern order, so hash order cannot leak into output")
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Fault-handling counters a query path can expose. The sweep supervisor
 /// snapshots these around a sweep and stores the delta in the day's
@@ -432,17 +433,34 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
     row
 }
 
-/// [`collect_raw`] + dictionary encoding in one step (sequential paths).
-#[allow(clippy::too_many_arguments)]
-pub fn collect(
-    path: &mut impl QueryPath,
-    apex: &Name,
-    entry: u32,
-    pfx2as: &Pfx2As,
-    dict: &mut StringDict,
-    interner: &mut SldInterner,
-) -> Row {
-    collect_raw(path, apex, entry, pfx2as).intern(dict, interner)
+/// The input list swept for `source`: its TLD's zone file, or the
+/// Alexa-style top list.
+pub fn source_entries(world: &World, source: Source) -> Arc<Vec<ZoneEntry>> {
+    match source.tld() {
+        Some(tld) => world.zone_entries(tld),
+        None => world.alexa_entries(),
+    }
+}
+
+/// Collects raw rows for `entries` over the bulk path on the worker
+/// cloud (paper Fig. 1): one map task per contiguous chunk of the slice,
+/// one chunk per worker. Each chunk's rows come back in entry order, so
+/// flattening the result keeps list order. The single-process sweep and
+/// the cluster worker's leases both collect through here.
+pub fn collect_entries(world: &World, entries: &[ZoneEntry], pfx2as: &Pfx2As) -> Vec<Vec<RawRow>> {
+    let workers = dps_columnar::mapreduce::default_workers().max(1);
+    let chunk = entries.len().div_ceil(workers).max(1);
+    let chunks: Vec<&[ZoneEntry]> = entries.chunks(chunk).collect();
+    dps_columnar::mapreduce::par_map(&chunks, |batch| {
+        let mut path = BulkPath::new(world);
+        batch
+            .iter()
+            .map(|&entry| {
+                let apex = world.entry_name(entry);
+                collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -465,7 +483,7 @@ mod tests {
             .expect("cname customer");
         let apex = world.domain_name(dps_ecosystem::DomainId(id as u32));
         let mut path = BulkPath::new(&world);
-        let row = collect(&mut path, &apex, 0, &pfx2as, &mut dict, &mut interner);
+        let row = collect_raw(&mut path, &apex, 0, &pfx2as).intern(&mut dict, &mut interner);
 
         assert!(!row.failed);
         assert_ne!(row.apex_v4, 0);
@@ -487,14 +505,8 @@ mod tests {
         let mut interner = SldInterner::new();
         let pfx2as = world.pfx2as();
         let mut path = BulkPath::new(&world);
-        let row = collect(
-            &mut path,
-            &"d99999999.com".parse().unwrap(),
-            0,
-            &pfx2as,
-            &mut dict,
-            &mut interner,
-        );
+        let row = collect_raw(&mut path, &"d99999999.com".parse().unwrap(), 0, &pfx2as)
+            .intern(&mut dict, &mut interner);
         assert!(row.failed);
         assert_eq!(row.apex_v4, 0);
     }

@@ -23,8 +23,9 @@
 //!   automated).
 //!
 //! [`pipeline::Study`] drives all three stages across the measurement
-//! calendar and produces the [`snapshot::SnapshotStore`] the analysis
-//! crate consumes, along with the Table 1 data-set statistics.
+//! calendar and commits every day to the `dps-store` archive; the analysis
+//! crate reads it back as a [`snapshot::SnapshotStore`], along with the
+//! Table 1 data-set statistics.
 
 pub mod collector;
 pub mod observation;
@@ -37,9 +38,8 @@ pub mod telemetry;
 pub use collector::{BulkPath, PathTelemetry, QueryPath, RecursorPath, WirePath};
 pub use observation::{Source, SOURCES};
 pub use pipeline::{
-    append_day, append_day_observed, day_committed, due_sources_for, resume_store,
-    resume_store_observed, DayObserver, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE,
-    STREAM_BLOCK_ENTRIES,
+    append_day, day_committed, due_sources_for, resume_store, resume_store_observed, DayObserver,
+    PageBuilder, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE, STREAM_BLOCK_ENTRIES,
 };
 pub use quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 pub use snapshot::{SnapshotStore, SourceStats, ARCHIVE_FILE};

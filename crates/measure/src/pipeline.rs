@@ -1,20 +1,24 @@
-//! The study driver: sweeps every due source every day and fills the
-//! snapshot store (cluster manager + worker cloud of paper Fig. 1).
+//! Running the study: sweep every due source every day and commit each
+//! finished day to the `dps-store` archive (cluster manager + worker cloud
+//! of paper Fig. 1). The archive is the only thing a sweep writes; the
+//! analysis layer reads it back as a [`SnapshotStore`].
 //!
 //! On multi-core machines the per-day sweep fans the input list out over a
 //! crossbeam worker cloud; collected rows are merged and dictionary-encoded
 //! by the manager thread, mirroring the collection/aggregation split of the
 //! real system.
 
-use crate::collector::{collect, collect_raw, BulkPath, QueryPath, RawRow, SldInterner};
-use crate::observation::{entry_code, schema, Row, Source, SOURCES};
-use crate::quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
+use crate::collector::{
+    collect_entries, collect_raw, source_entries, QueryPath, RawRow, SldInterner,
+};
+use crate::observation::{entry_code, schema, Source, SOURCES};
+use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use crate::supervisor::{sweep_supervised_metered, SupervisorConfig, SweepMetrics};
-use crate::telemetry::{decode_telemetry, encode_telemetry, TELEMETRY_SOURCE};
+use crate::telemetry::{encode_telemetry, TELEMETRY_SOURCE};
 use dps_columnar::{StringDict, Table, TableBuilder};
 use dps_ecosystem::World;
-use dps_netsim::{Day, RibHistory};
+use dps_netsim::Day;
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
 
@@ -125,34 +129,25 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
         && writer.contains(day, TELEMETRY_SOURCE)
 }
 
-/// Appends one finished day to the archive and the in-memory store, then
-/// commits a durable footer. This is **the** day-commit path: the
-/// single-process [`Study::run_archived`] and the cluster manager both
+/// Appends one finished day to the archive and commits a durable footer.
+/// This is **the** day-commit path: the single-process
+/// [`Study::run_archived`], the cluster manager and the chaos sweep all
 /// funnel through it, which is what keeps a multi-worker sweep
 /// byte-identical to the single-process run — pages land in the same
 /// (day, source) order, followed by the same quality and telemetry
 /// pages, followed by one commit against the shared dictionary.
 ///
+/// With an `observer` (streaming analysis), the observer consumes the
+/// day's pages (rows already interned into `dict`) before the commit,
+/// its counter deltas are folded into the day's telemetry page, and its
+/// checkpoint table is persisted under [`ANALYSIS_SOURCE`] after the
+/// telemetry page — so the whole day, checkpoint included, is covered by
+/// the same single durable commit.
+///
 /// `pages` must be in [`due_sources_for`] order for the day.
 pub fn append_day(
     writer: &mut StoreWriter,
-    store: &mut SnapshotStore,
-    day: u32,
-    pages: Vec<SourcePage>,
-    telemetry: Snapshot,
-) -> std::io::Result<()> {
-    append_day_observed(writer, store, day, pages, telemetry, None)
-}
-
-/// [`append_day`] with an optional streaming-analysis observer: the
-/// observer consumes the day's pages (rows already interned) before the
-/// commit, its counter deltas are folded into the day's telemetry page,
-/// and its checkpoint table is persisted under [`ANALYSIS_SOURCE`] after
-/// the telemetry page — so the whole day, checkpoint included, is
-/// covered by the same single durable commit.
-pub fn append_day_observed(
-    writer: &mut StoreWriter,
-    store: &mut SnapshotStore,
+    dict: &StringDict,
     day: u32,
     pages: Vec<SourcePage>,
     mut telemetry: Snapshot,
@@ -160,7 +155,7 @@ pub fn append_day_observed(
 ) -> std::io::Result<()> {
     let analysis = match observer {
         Some(obs) => {
-            let (table, counters) = obs.on_day(day, &pages, &store.dict)?;
+            let (table, counters) = obs.on_day(day, &pages, dict)?;
             for (name, v) in counters {
                 *telemetry.counters.entry(name).or_insert(0) += v;
             }
@@ -176,87 +171,119 @@ pub fn append_day_observed(
             &page.table,
             page.data_points,
         )?;
-        store.add_table(day, page.source, &page.table, page.data_points);
-        store.add_quality(page.quality);
         day_qualities.push(page.quality);
     }
     writer.append_table(day, QUALITY_SOURCE, &encode_qualities(&day_qualities), 0)?;
     writer.append_table(day, TELEMETRY_SOURCE, &encode_telemetry(&telemetry), 0)?;
-    store.add_telemetry(day, telemetry);
     if let Some(table) = analysis {
         writer.append_table(day, ANALYSIS_SOURCE, &table, 0)?;
-        store.add_analysis(day, table.to_bytes());
     }
-    writer.commit(&store.dict)
+    writer.commit(dict)
 }
 
-/// Rehydrates a store from the committed pages of a resumed archive:
-/// the dictionary continues from the last footer (interning is
-/// idempotent, so ids stay identical) and committed days are reloaded
-/// from the file instead of re-measured. Shared by
-/// [`Study::run_archived`] and the cluster manager's resume path.
+/// Rebuilds `store` from the committed pages of the archive `writer` has
+/// open at `path`: the dictionary continues from the last footer, and the
+/// committed days are read back through [`SnapshotStore::from_store`].
 pub fn resume_store(
     store: &mut SnapshotStore,
     writer: &StoreWriter,
     path: &std::path::Path,
 ) -> std::io::Result<()> {
-    resume_store_observed(store, writer, path, None)
+    *store = if writer.is_empty() {
+        let mut empty = SnapshotStore::new();
+        empty.dict = writer.dict().clone();
+        empty
+    } else {
+        SnapshotStore::load_archive(path)?
+    };
+    Ok(())
 }
 
-/// [`resume_store`] with an optional streaming-analysis observer: the
-/// persisted checkpoint pages of committed days are replayed through
-/// [`DayObserver::on_resume`] in day order, so the engine resumes to the
-/// exact (byte-identical) state it held when each day was committed.
+/// Replays the persisted checkpoint pages of a resumed archive through
+/// [`DayObserver::on_resume`] in day order, so a streaming-analysis
+/// engine resumes to the exact (byte-identical) state it held when each
+/// day was committed. Reads only [`ANALYSIS_SOURCE`] pages; no data page
+/// is decoded. Without an observer there is nothing to replay.
 ///
 /// The archive reads happen inside `dps-store`, but the untrusted bytes
 /// are *consumed* here — the marker makes this a taint root the call
 /// graph alone cannot derive.
 // dps: ingress
 pub fn resume_store_observed(
-    store: &mut SnapshotStore,
     writer: &StoreWriter,
     path: &std::path::Path,
-    mut observer: Option<&mut dyn DayObserver>,
+    observer: Option<&mut dyn DayObserver>,
 ) -> std::io::Result<()> {
-    store.dict = writer.dict().clone();
+    let Some(observer) = observer else {
+        return Ok(());
+    };
     if writer.is_empty() {
         return Ok(());
     }
-    // Rehydrate committed days (exact data-point counts come from the
-    // catalog; no re-measurement, no estimation).
     let archive = StoreReader::open_auto_with_cache(path, 0)?;
-    for (&(day, source), meta) in &archive.catalog().pages {
+    for &(day, source) in archive.catalog().pages.keys() {
+        if source != ANALYSIS_SOURCE {
+            continue;
+        }
         let table = archive.table(day, source)?.ok_or_else(|| {
             std::io::Error::other("catalog lists a page the archive cannot produce")
         })?;
-        if source == ANALYSIS_SOURCE {
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_resume(day, &table)?;
-            }
-            store.add_analysis(day, table.to_bytes());
-            continue;
-        }
-        if source == TELEMETRY_SOURCE {
-            let snapshot = decode_telemetry(&table).ok_or_else(|| {
-                std::io::Error::other("archive holds an undecodable telemetry page")
-            })?;
-            store.add_telemetry(day, snapshot);
-            continue;
-        }
-        if source == QUALITY_SOURCE {
-            let qualities = decode_qualities(&table).ok_or_else(|| {
-                std::io::Error::other("archive holds an undecodable quality page")
-            })?;
-            for q in qualities {
-                store.add_quality(q);
-            }
-            continue;
-        }
-        let src = Source::from_index(u32::from(source))
-            .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-        store.add_table(day, src, &table, meta.data_points);
+        observer.on_resume(day, &table)?;
     }
     Ok(())
+}
+
+/// Folds one (day, source) sweep's raw rows into a [`SourcePage`]: rows
+/// are interned and packed in arrival order, and the day's quality record
+/// is tallied as they stream past. The single-process sweep, the cluster
+/// manager and the wire-path sweeps all build their pages through it.
+pub struct PageBuilder {
+    day: u32,
+    source: Source,
+    table: TableBuilder,
+    data_points: u64,
+    attempted: u32,
+    failed: u32,
+    causes: CauseCounts,
+}
+
+impl PageBuilder {
+    /// An empty page for `(day, source)`.
+    pub fn new(day: u32, source: Source) -> Self {
+        Self {
+            day,
+            source,
+            table: TableBuilder::new(schema()),
+            data_points: 0,
+            attempted: 0,
+            failed: 0,
+            causes: CauseCounts::default(),
+        }
+    }
+
+    /// Interns `raw` into `dict` and appends it as the next row.
+    pub fn push_raw(&mut self, raw: RawRow, dict: &mut StringDict, interner: &mut SldInterner) {
+        self.attempted += 1;
+        self.failed += u32::from(raw.failed && raw.retryable);
+        self.causes.merge(&raw.causes);
+        let row = raw.intern(dict, interner);
+        self.data_points += u64::from(row.data_points);
+        self.table.push_row(&row.pack(self.day, self.source));
+    }
+
+    /// The finished page. An unsupervised sweep never retries, so its
+    /// quality record holds no retries or hedges — only the transient
+    /// failures it left behind lower coverage.
+    pub fn finish(self) -> SourcePage {
+        let mut quality = DayQuality::perfect(self.day, self.source, self.attempted, self.failed);
+        quality.causes = self.causes;
+        SourcePage {
+            source: self.source,
+            table: self.table.finish(),
+            data_points: self.data_points,
+            quality,
+        }
+    }
 }
 
 /// Sweep-volume counters the study records per measured day.
@@ -288,8 +315,6 @@ pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 /// Drives a full study over a world using the bulk query path.
 pub struct Study {
     config: StudyConfig,
-    store: SnapshotStore,
-    history: RibHistory,
     registry: Registry,
     metrics: StudyMetrics,
     /// Raw-row streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
@@ -299,15 +324,13 @@ pub struct Study {
 }
 
 impl Study {
-    /// A study with an empty store and a private telemetry registry
-    /// (per-day deltas land in the store as telemetry pages).
+    /// A study with a private telemetry registry (per-day deltas land in
+    /// the archive as telemetry pages).
     pub fn new(config: StudyConfig) -> Self {
         let registry = Registry::new();
         let metrics = StudyMetrics::new(&registry);
         Self {
             config,
-            store: SnapshotStore::new(),
-            history: RibHistory::new(),
             registry,
             metrics,
             stream_block: STREAM_BLOCK_ENTRIES,
@@ -343,45 +366,17 @@ impl Study {
         due_sources_for(&self.config, day)
     }
 
-    /// Runs the whole study: advances the world through every measured day
-    /// and sweeps all due sources. Returns the filled store.
-    pub fn run(self, world: &mut World) -> SnapshotStore {
-        self.run_with_history(world).0
-    }
-
-    /// Like [`run`](Self::run), additionally returning the archive of
-    /// daily `pfx2as` snapshots (routing data *at measurement time*,
-    /// paper §3.2).
-    pub fn run_with_history(mut self, world: &mut World) -> (SnapshotStore, RibHistory) {
-        let mut interner = SldInterner::new();
-        let mut day = 0u32;
-        while day < self.config.days {
-            world.advance_to(Day(day));
-            self.history.record(Day(day), world.pfx2as());
-            let before = self.registry.snapshot();
-            self.measure_day(world, day, &mut interner);
-            let delta = self.registry.snapshot().since(&before);
-            self.store.add_telemetry(day, delta);
-            day += self.config.stride.max(1);
-        }
-        (self.store, self.history)
-    }
-
     /// Runs the whole study while streaming each finished day into a
     /// `dps-store` archive at `path`, committing a durable footer after
     /// every measured day (checkpoint). If `path` already holds a partial
     /// archive — say, from a killed sweep — the run *resumes*: committed
-    /// days are rehydrated from the file instead of re-measured, the
-    /// dictionary continues from the last footer (interning is idempotent,
-    /// so ids stay identical), and the world is still advanced through
-    /// every day so ecosystem state matches an uninterrupted run. The
-    /// resulting archive is byte-identical to one written in a single
-    /// uninterrupted sweep.
-    pub fn run_archived(
-        self,
-        world: &mut World,
-        path: &std::path::Path,
-    ) -> std::io::Result<SnapshotStore> {
+    /// days are skipped instead of re-measured, the dictionary continues
+    /// from the last footer (interning is idempotent, so ids stay
+    /// identical), and the world is still advanced through every day so
+    /// ecosystem state matches an uninterrupted run. The resulting
+    /// archive is byte-identical to one written in a single uninterrupted
+    /// sweep. Read it back with [`SnapshotStore::load_archive`].
+    pub fn run_archived(self, world: &mut World, path: &std::path::Path) -> std::io::Result<()> {
         self.run_archived_observed(world, path, None)
     }
 
@@ -396,30 +391,25 @@ impl Study {
         world: &mut World,
         path: &std::path::Path,
         mut observer: Option<&mut dyn DayObserver>,
-    ) -> std::io::Result<SnapshotStore> {
+    ) -> std::io::Result<()> {
         let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
+        resume_store_observed(&writer, path, reborrow_observer(&mut observer))?;
         // Continue interning into the committed dictionary so a resumed
         // sweep assigns the same ids an uninterrupted one would.
-        resume_store_observed(
-            &mut self.store,
-            &writer,
-            path,
-            reborrow_observer(&mut observer),
-        )?;
+        let mut dict = writer.dict().clone();
         let mut interner = SldInterner::new();
         let mut day = 0u32;
         while day < self.config.days {
             // Advance through *every* day — including already-committed
             // ones — so world state evolves exactly as in a fresh run.
             world.advance_to(Day(day));
-            self.history.record(Day(day), world.pfx2as());
             if !day_committed(&writer, &self.config, day) {
                 let before = self.registry.snapshot();
-                let pages = self.collect_day(world, day, &mut interner);
+                let pages = self.collect_day(world, day, &mut dict, &mut interner);
                 let delta = self.registry.snapshot().since(&before);
-                append_day_observed(
+                append_day(
                     &mut writer,
-                    &mut self.store,
+                    &dict,
                     day,
                     pages,
                     delta,
@@ -433,39 +423,27 @@ impl Study {
             }
             day += self.config.stride.max(1);
         }
-        Ok(self.store)
+        Ok(())
     }
 
-    /// Sweeps all due sources for the world's current day.
+    /// Collects and encodes one page per due source for the world's
+    /// current day.
     ///
     /// The input list is fanned out over the crossbeam worker cloud
     /// (paper Fig. 1): workers collect raw rows against the immutable
-    /// world; the manager thread dictionary-encodes and stores them.
-    pub fn measure_day(&mut self, world: &World, day: u32, interner: &mut SldInterner) {
-        for page in self.collect_day(world, day, interner) {
-            self.store
-                .add_table(day, page.source, &page.table, page.data_points);
-            self.store.add_quality(page.quality);
-        }
-    }
-
-    /// Collects and encodes one table per due source for `day` without
-    /// storing them (shared by [`measure_day`](Self::measure_day) and
-    /// [`run_archived`](Self::run_archived)).
+    /// world; this (manager) thread dictionary-encodes them in list order.
     fn collect_day(
         &mut self,
         world: &World,
         day: u32,
+        dict: &mut StringDict,
         interner: &mut SldInterner,
     ) -> Vec<SourcePage> {
         let pfx2as = world.pfx2as();
         let mut out = Vec::new();
         self.metrics.days.inc();
         for source in self.due_sources(day) {
-            let entries = match source.tld() {
-                Some(tld) => world.zone_entries(tld),
-                None => world.alexa_entries(),
-            };
+            let entries = source_entries(world, source);
             // Streaming generation: walk the entry list in bounded blocks.
             // Each block fans out over the worker cloud, lands as raw rows,
             // and is interned into the page builder immediately — so raw
@@ -474,153 +452,75 @@ impl Study {
             // [`STREAM_BLOCK_ENTRIES`]). Blocks, chunks, and rows all keep
             // entry-list order, so the output is byte-identical to a
             // whole-day materialization.
-            let workers = dps_columnar::mapreduce::default_workers().max(1);
-            let block_len = self.stream_block.max(1);
-            let mut builder = TableBuilder::new(schema());
-            let mut data_points = 0u64;
-            let mut attempted = 0u32;
-            let mut failed = 0u32;
-            let mut causes = CauseCounts::default();
-            for block in entries.chunks(block_len) {
-                // Worker cloud: one map task per chunk of the block.
-                let chunk = block.len().div_ceil(workers).max(1);
-                let chunks: Vec<&[dps_ecosystem::ZoneEntry]> = block.chunks(chunk).collect();
-                let raw_chunks: Vec<Vec<RawRow>> =
-                    dps_columnar::mapreduce::par_map(&chunks, |batch| {
-                        let mut path = BulkPath::new(world);
-                        batch
-                            .iter()
-                            .map(|&entry| {
-                                let apex = world.entry_name(entry);
-                                collect_raw(&mut path, &apex, entry_code(entry), &pfx2as)
-                            })
-                            .collect()
-                    });
-                // Manager: intern + encode (ordered, deterministic),
-                // tallying the day's quality as rows stream past. The bulk
-                // path cannot fail transiently, so the record has no
-                // retries or hedges — only definitive failures (vanished
-                // names) lower coverage.
-                for raw in raw_chunks.into_iter().flatten() {
-                    attempted += 1;
-                    failed += u32::from(raw.failed && raw.retryable);
-                    causes.merge(&raw.causes);
-                    let row = raw.intern(&mut self.store.dict, interner);
-                    data_points += u64::from(row.data_points);
-                    builder.push_row(&row.pack(day, source));
+            let mut page = PageBuilder::new(day, source);
+            for block in entries.chunks(self.stream_block.max(1)) {
+                for raw in collect_entries(world, block, &pfx2as).into_iter().flatten() {
+                    page.push_raw(raw, dict, interner);
                 }
             }
-            let mut quality = DayQuality::perfect(day, source, attempted, failed);
-            quality.causes = causes;
-            self.metrics.rows.add(u64::from(attempted));
-            self.metrics.data_points.add(data_points);
-            out.push(SourcePage {
-                source,
-                table: builder.finish(),
-                data_points,
-                quality,
-            });
+            let page = page.finish();
+            self.metrics.rows.add(u64::from(page.quality.attempted));
+            self.metrics.data_points.add(page.data_points);
+            out.push(page);
         }
         out
-    }
-
-    /// Immutable access to the store while the study is running.
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
     }
 }
 
 /// Sweeps one list through an arbitrary query path (used by the wire-path
-/// validation tests and the lossy-network example).
+/// validation tests and the lossy-network example), interning into
+/// `dict`.
 pub fn sweep_with_path(
     world: &World,
     path: &mut impl QueryPath,
     source: Source,
     day: u32,
-    store: &mut SnapshotStore,
+    dict: &mut StringDict,
     interner: &mut SldInterner,
-) {
+) -> SourcePage {
     let pfx2as = world.pfx2as();
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
-    let mut builder = TableBuilder::new(schema());
-    let mut data_points = 0u64;
-    for &entry in entries.iter() {
+    let mut page = PageBuilder::new(day, source);
+    for &entry in source_entries(world, source).iter() {
         let apex = world.entry_name(entry);
-        let row: Row = collect(
-            path,
-            &apex,
-            entry_code(entry),
-            &pfx2as,
-            &mut store.dict,
+        page.push_raw(
+            collect_raw(path, &apex, entry_code(entry), &pfx2as),
+            dict,
             interner,
         );
-        data_points += u64::from(row.data_points);
-        builder.push_row(&row.pack(day, source));
     }
-    store.add_table(day, source, &builder.finish(), data_points);
+    page.finish()
 }
 
 /// [`sweep_with_path`] under fault-tolerant supervision: first pass,
-/// dead-letter retry passes, and a stored [`DayQuality`] record for the
-/// day. Returns the quality record for the caller's logs.
+/// dead-letter retry passes, and the supervisor's [`DayQuality`] record
+/// as the page's quality. The sweep records its quality tallies and
+/// virtual-time span into `metrics` (pass `SweepMetrics::default()` to
+/// record nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_with_path_supervised(
     world: &World,
     path: &mut impl QueryPath,
     source: Source,
     day: u32,
-    store: &mut SnapshotStore,
-    interner: &mut SldInterner,
-    config: &SupervisorConfig,
-) -> DayQuality {
-    sweep_with_path_supervised_metered(
-        world,
-        path,
-        source,
-        day,
-        store,
-        interner,
-        config,
-        &SweepMetrics::default(),
-    )
-}
-
-/// [`sweep_with_path_supervised`] with telemetry: the sweep records its
-/// quality tallies and virtual-time span into `metrics`.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_with_path_supervised_metered(
-    world: &World,
-    path: &mut impl QueryPath,
-    source: Source,
-    day: u32,
-    store: &mut SnapshotStore,
+    dict: &mut StringDict,
     interner: &mut SldInterner,
     config: &SupervisorConfig,
     metrics: &SweepMetrics,
-) -> DayQuality {
+) -> SourcePage {
     let pfx2as = world.pfx2as();
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
-    let jobs: Vec<(dps_dns::Name, u32)> = entries
+    let jobs: Vec<(dps_dns::Name, u32)> = source_entries(world, source)
         .iter()
         .map(|&entry| (world.entry_name(entry), entry_code(entry)))
         .collect();
     let sweep = sweep_supervised_metered(path, &jobs, &pfx2as, day, source, config, metrics);
-    let mut builder = TableBuilder::new(schema());
-    let mut data_points = 0u64;
+    let mut page = PageBuilder::new(day, source);
     for raw in sweep.rows {
-        let row = raw.intern(&mut store.dict, interner);
-        data_points += u64::from(row.data_points);
-        builder.push_row(&row.pack(day, source));
+        page.push_raw(raw, dict, interner);
     }
-    store.add_table(day, source, &builder.finish(), data_points);
-    store.add_quality(sweep.quality);
-    sweep.quality
+    SourcePage {
+        quality: sweep.quality,
+        ..page.finish()
+    }
 }
 
 /// Lists every source in Table 1 order (re-export convenience).
@@ -633,6 +533,17 @@ mod tests {
     use super::*;
     use dps_ecosystem::ScenarioParams;
 
+    /// Runs `config` over `world` into a temp-dir archive and loads it.
+    fn archived_store(world: &mut World, config: StudyConfig, tag: &str) -> SnapshotStore {
+        let path =
+            std::env::temp_dir().join(format!("dps-pipeline-{tag}-{}.dps", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        Study::new(config).run_archived(world, &path).unwrap();
+        let store = SnapshotStore::load_archive(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        store
+    }
+
     #[test]
     fn tiny_study_fills_all_sources() {
         let mut world = World::imc2016(ScenarioParams::tiny(5));
@@ -641,7 +552,7 @@ mod tests {
             cc_start_day: 20,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = archived_store(&mut world, config, "fills");
 
         for s in [Source::Com, Source::Net, Source::Org] {
             let st = store.stats(s);
@@ -658,34 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn history_records_routing_at_measurement_time() {
-        use dps_netsim::OriginChange;
-        // Horizon past the first ENOM→Verisign flip (day 30).
-        let params = dps_ecosystem::ScenarioParams {
-            seed: 4,
-            scale: 0.05,
-            gtld_days: 35,
-            cc_start_day: 35,
-        };
-        let mut world = World::imc2016(params);
-        let (_store, history) = Study::new(StudyConfig {
-            days: 35,
-            cc_start_day: 35,
-            stride: 1,
-        })
-        .run_with_history(&mut world);
-        assert_eq!(history.len(), 35);
-        let changes = history.diff(Day(29), Day(30));
-        let flip = changes.iter().find_map(|c| match c {
-            OriginChange::OriginFlip { from, to, .. } => Some((from.clone(), to.clone())),
-            _ => None,
-        });
-        let (from, to) = flip.expect("ENOM→Verisign flip recorded on day 30");
-        assert_eq!(from[0].0, 21740, "ENOM before");
-        assert_eq!(to[0].0, 26415, "Verisign during diversion");
-    }
-
-    #[test]
     fn stride_skips_days() {
         let mut world = World::imc2016(ScenarioParams::tiny(5));
         let config = StudyConfig {
@@ -693,7 +576,7 @@ mod tests {
             cc_start_day: 99,
             stride: 5,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = archived_store(&mut world, config, "stride");
         assert_eq!(store.days(Source::Com), vec![0, 5, 10, 15]);
     }
 
@@ -705,7 +588,7 @@ mod tests {
             cc_start_day: 99,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = archived_store(&mut world, config, "day-column");
         let t = store.table(2, Source::Com).unwrap();
         assert!(t.rows() > 0);
         let days = t.column_by_name("day").unwrap();
@@ -713,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn archived_run_checkpoints_every_day_and_matches_in_memory() {
+    fn archived_run_checkpoints_every_day_and_reruns_measure_nothing() {
         let path =
             std::env::temp_dir().join(format!("dps-pipeline-archived-{}.dps", std::process::id()));
         std::fs::remove_file(&path).ok();
@@ -723,25 +606,53 @@ mod tests {
             stride: 1,
         };
         let mut world = World::imc2016(ScenarioParams::tiny(9));
-        let archived = Study::new(config).run_archived(&mut world, &path).unwrap();
-        let mut world2 = World::imc2016(ScenarioParams::tiny(9));
-        let in_memory = Study::new(config).run(&mut world2);
+        Study::new(config).run_archived(&mut world, &path).unwrap();
+        let first = std::fs::read(&path).unwrap();
+        let archived = SnapshotStore::load_archive(&path).unwrap();
         for s in SOURCES {
-            let (a, b) = (archived.stats(s), in_memory.stats(s));
-            assert_eq!(a.days, b.days, "{s:?}");
-            assert_eq!(a.data_points, b.data_points, "{s:?}");
-            assert_eq!(a.unique_slds, b.unique_slds, "{s:?}");
+            let st = archived.stats(s);
+            let expected = if matches!(s, Source::Nl | Source::Alexa) {
+                2
+            } else {
+                6
+            };
+            assert_eq!(st.days, expected, "{s:?}");
+            assert_eq!(archived.qualities(s).len() as u32, st.days, "{s:?}");
         }
-        // A second run over the finished archive measures nothing new and
-        // reloads the exact same store from the file.
-        let mut world3 = World::imc2016(ScenarioParams::tiny(9));
-        let reloaded = Study::new(config).run_archived(&mut world3, &path).unwrap();
+        assert_eq!(
+            archived.all_telemetry().count(),
+            6,
+            "one telemetry page per day"
+        );
+        // A second run over the finished archive measures nothing new:
+        // the file is untouched and reloads to the same store.
+        let mut world = World::imc2016(ScenarioParams::tiny(9));
+        Study::new(config).run_archived(&mut world, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        let reloaded = SnapshotStore::load_archive(&path).unwrap();
         assert_eq!(
             reloaded.stats(Source::Com).data_points,
             archived.stats(Source::Com).data_points
         );
         assert_eq!(reloaded.days(Source::Com), archived.days(Source::Com));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `dpscope measure --days 1`: a one-day world builds and sweeps
+    /// into an archive holding exactly day 0.
+    #[test]
+    fn one_day_world_sweeps_into_an_archive() {
+        let params = ScenarioParams {
+            gtld_days: 1,
+            cc_start_day: 1,
+            ..ScenarioParams::tiny(8)
+        };
+        let mut world = World::imc2016(params);
+        let config = StudyConfig::for_world(&world);
+        let store = archived_store(&mut world, config, "one-day");
+        assert_eq!(store.days(Source::Com), vec![0]);
+        assert_eq!(store.days(Source::Nl), Vec::<u32>::new());
+        assert!(store.stats(Source::Com).data_points > 0);
     }
 
     #[test]
@@ -752,7 +663,7 @@ mod tests {
             cc_start_day: 99,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = archived_store(&mut world, config, "compression");
         let st = store.stats(Source::Com);
         assert!(
             st.stored_bytes * 2 < st.raw_bytes,

@@ -1,22 +1,25 @@
-//! Stage II: the snapshot store — daily per-source columnar tables.
+//! Stage II: the snapshot store — a read-only view of an archive's daily
+//! per-source columnar tables.
 //!
-//! Persistence is the `dps-store` single-file paged archive
-//! ([`save_archive`](SnapshotStore::save_archive) /
-//! [`load_archive`](SnapshotStore::load_archive)); the directory-based
-//! [`save_dir`](SnapshotStore::save_dir) / [`load_dir`](SnapshotStore::load_dir)
-//! API survives as a thin shim over it (plus a read-only fallback for the
-//! deprecated loose-file layout older archives used).
+//! Sweeps write only the `dps-store` archive (through
+//! [`append_day`](crate::pipeline::append_day)). A [`SnapshotStore`] is
+//! rebuilt from it in one place, [`SnapshotStore::from_store`] — behind
+//! [`load_archive`](SnapshotStore::load_archive) and
+//! [`resume_store`](crate::pipeline::resume_store) — which reads every page
+//! once and computes the per-source statistics from the logical tables,
+//! so the single-file and the sharded layout of one study rehydrate to
+//! the same store.
 
 use crate::observation::{schema, Source, SOURCES};
 use crate::pipeline::ANALYSIS_SOURCE;
-use crate::quality::{decode_qualities, encode_qualities, DayQuality, QUALITY_SOURCE};
-use crate::telemetry::{decode_telemetry, encode_telemetry, TELEMETRY_SOURCE};
+use crate::quality::{decode_qualities, DayQuality, QUALITY_SOURCE};
+use crate::telemetry::{decode_telemetry, TELEMETRY_SOURCE};
 use dps_columnar::{StringDict, Table};
-use dps_store::{Archive, StoreReader, StoreWriter};
+use dps_store::StoreReader;
 use dps_telemetry::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Name of the single-file archive inside a `save_dir` directory.
+/// Name of the archive base file inside an archive directory.
 pub const ARCHIVE_FILE: &str = "archive.dps";
 
 /// The table column whose distinct values the archive tracks per source
@@ -24,7 +27,7 @@ pub const ARCHIVE_FILE: &str = "archive.dps";
 pub const UNIQUE_KEY_COLUMN: &str = "entry";
 
 /// Per-source data-set statistics (paper Table 1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceStats {
     /// First measured day, if any.
     pub first_day: Option<u32>,
@@ -43,19 +46,13 @@ pub struct SourceStats {
     pub raw_bytes: u64,
 }
 
-/// One stored day table: its encoded bytes and the true collected
-/// data-point count (persisted exactly — never re-estimated on reload).
-struct StoredTable {
-    bytes: Vec<u8>,
-    data_points: u64,
-}
-
-/// The measurement archive: one encoded table per (day, source), plus the
-/// shared string dictionary and per-source statistics.
+/// The measurement archive, read back: one encoded table per (day,
+/// source), plus the shared string dictionary, per-source statistics,
+/// quality records, telemetry snapshots and analysis checkpoints.
 pub struct SnapshotStore {
     /// Shared dictionary for SLD strings.
     pub dict: StringDict,
-    tables: BTreeMap<(u32, u8), StoredTable>,
+    tables: BTreeMap<(u32, u8), Vec<u8>>,
     stats: Vec<SourceStats>,
     qualities: BTreeMap<(u32, u8), DayQuality>,
     telemetry: BTreeMap<u32, Snapshot>,
@@ -77,7 +74,7 @@ impl SnapshotStore {
 
     /// Records a day's streaming-analysis checkpoint page (encoded table
     /// bytes, held opaquely — `dps-stream` owns the codec).
-    pub fn add_analysis(&mut self, day: u32, bytes: Vec<u8>) {
+    fn add_analysis(&mut self, day: u32, bytes: Vec<u8>) {
         self.analysis.insert(day, bytes);
     }
 
@@ -92,7 +89,7 @@ impl SnapshotStore {
     }
 
     /// Records a day's telemetry snapshot (replacing any existing one).
-    pub fn add_telemetry(&mut self, day: u32, snapshot: Snapshot) {
+    fn add_telemetry(&mut self, day: u32, snapshot: Snapshot) {
         self.telemetry.insert(day, snapshot);
     }
 
@@ -117,7 +114,8 @@ impl SnapshotStore {
     }
 
     /// Records a day's quality record (replacing any existing one for the
-    /// same `(day, source)`).
+    /// same `(day, source)`). Public for quality-only views, which build
+    /// a store holding nothing but quality records.
     pub fn add_quality(&mut self, quality: DayQuality) {
         self.qualities
             .insert((quality.day, quality.source.index() as u8), quality);
@@ -142,8 +140,8 @@ impl SnapshotStore {
         self.qualities.values()
     }
 
-    /// Adds a finished day table, updating statistics.
-    pub fn add_table(&mut self, day: u32, source: Source, table: &Table, data_points: u64) {
+    /// Adds a day table, updating statistics from the logical table.
+    fn add_table(&mut self, day: u32, source: Source, table: &Table, data_points: u64) {
         let bytes = table.to_bytes();
         let Some(st) = self.stats.get_mut(source.index()) else {
             return;
@@ -157,10 +155,7 @@ impl SnapshotStore {
         if let Some(col) = table.column_by_name(UNIQUE_KEY_COLUMN) {
             st.unique_slds.extend(col.iter().copied());
         }
-        self.tables.insert(
-            (day, source.index() as u8),
-            StoredTable { bytes, data_points },
-        );
+        self.tables.insert((day, source.index() as u8), bytes);
     }
 
     /// Decodes the table for `(day, source)`. Undecodable stored bytes
@@ -168,7 +163,7 @@ impl SnapshotStore {
     pub fn table(&self, day: u32, source: Source) -> Option<Table> {
         self.tables
             .get(&(day, source.index() as u8))
-            .and_then(|t| Table::from_bytes(&t.bytes).ok())
+            .and_then(|bytes| Table::from_bytes(bytes).ok())
     }
 
     /// Days measured for a source, ascending.
@@ -186,26 +181,28 @@ impl SnapshotStore {
         self.tables
             .iter()
             .filter(|((_, s), _)| *s == source.index() as u8)
-            .map(|((d, _), t)| (*d, t.bytes.as_slice()))
+            .map(|((d, _), bytes)| (*d, bytes.as_slice()))
             .collect()
     }
 
-    /// Iterates (day, decoded table) for one source, ascending by day.
+    /// Iterates (day, decoded table) for one source, ascending by day
+    /// (undecodable stored bytes are skipped, as [`table`](Self::table)
+    /// reads them as absent).
     pub fn scan(&self, source: Source) -> impl Iterator<Item = (u32, Table)> + '_ {
         self.tables
             .iter()
             .filter(move |((_, s), _)| *s == source.index() as u8)
-            .map(|((d, _), t)| (*d, Table::from_bytes(&t.bytes).expect("valid")))
+            .filter_map(|((d, _), bytes)| Some((*d, Table::from_bytes(bytes).ok()?)))
     }
 
     /// Raw encoded bytes of every stored table (for size accounting).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.tables.values().map(|t| t.bytes.len() as u64).sum()
+        self.tables.values().map(|bytes| bytes.len() as u64).sum()
     }
 
     /// Statistics for a source.
     pub fn stats(&self, source: Source) -> &SourceStats {
-        // dps: allow(taint-panic, reason = "stats is built with one slot per SOURCES entry and source.index() is that source's position in SOURCES; no input reaches the index")
+        // dps: allow(slice-index, reason = "stats is built with one slot per SOURCES entry and source.index() is that source's position in SOURCES; no input reaches the index")
         &self.stats[source.index()]
     }
 
@@ -214,204 +211,55 @@ impl SnapshotStore {
         schema()
     }
 
-    /// Persists the whole store as a `dps-store` single-file archive at
-    /// `path`: CRC-checked pages, footer catalog with the exact per-table
-    /// data-point counts, and the string dictionary.
-    pub fn save_archive(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.save_archive_with_shards(path, 1)
-    }
-
-    /// Like [`save_archive`](Self::save_archive) but sharded: a manifest
-    /// plus `shards` shard files, each holding its row range of every
-    /// page. `shards = 1` is exactly `save_archive` (single-file layout).
-    pub fn save_archive_with_shards(
-        &self,
-        path: &std::path::Path,
-        shards: u32,
-    ) -> std::io::Result<()> {
-        let mut writer = StoreWriter::create_store(path, shards, Some(UNIQUE_KEY_COLUMN))?;
-        // Append in global (day, source) page order: a day's data tables
-        // first, then its quality page under QUALITY_SOURCE, then its
-        // telemetry page under TELEMETRY_SOURCE — the same order
-        // `Study::run_archived` streams pages in, so both writers produce
-        // byte-identical archives for identical content.
-        let days: BTreeSet<u32> = self
-            .tables
-            .keys()
-            .chain(self.qualities.keys())
-            .map(|&(day, _)| day)
-            .chain(self.telemetry.keys().copied())
-            .collect();
-        for day in days {
-            for (&(_, source), stored) in self.tables.range((day, 0)..=(day, u8::MAX)) {
-                let table = Table::from_bytes(&stored.bytes).map_err(std::io::Error::other)?;
-                writer.append_table(day, source, &table, stored.data_points)?;
-            }
-            let day_qualities: Vec<DayQuality> = self
-                .qualities
-                .range((day, 0)..=(day, u8::MAX))
-                .map(|(_, q)| *q)
-                .collect();
-            if !day_qualities.is_empty() {
-                writer.append_table(day, QUALITY_SOURCE, &encode_qualities(&day_qualities), 0)?;
-            }
-            if let Some(snapshot) = self.telemetry.get(&day) {
-                writer.append_table(day, TELEMETRY_SOURCE, &encode_telemetry(snapshot), 0)?;
-            }
-            if let Some(bytes) = self.analysis.get(&day) {
-                let table = Table::from_bytes(bytes).map_err(std::io::Error::other)?;
-                writer.append_table(day, ANALYSIS_SOURCE, &table, 0)?;
-            }
-        }
-        writer.commit(&self.dict)
-    }
-
-    /// Materialises a full store from a `dps-store` archive, restoring the
-    /// dictionary and the per-source statistics *exactly* as saved (the
-    /// catalog carries true data-point counts; nothing is estimated).
+    /// Rebuilds a store from the archive at base path `path` (either
+    /// layout), reading every page once with the page cache off.
     pub fn load_archive(path: &std::path::Path) -> std::io::Result<Self> {
-        let reader = StoreReader::open_auto(path)?;
-        Self::from_store(&reader)
+        Self::from_store(&StoreReader::open_auto_with_cache(path, 0)?)
     }
 
-    /// Materialises a full store from an open [`Archive`] handle.
-    pub fn from_archive(archive: &Archive) -> std::io::Result<Self> {
-        Self::from_pages(archive.dict(), archive.catalog(), |d, s| {
-            archive.table(d, s)
-        })
-    }
-
-    /// Materialises a full store from an open [`StoreReader`] — either the
-    /// single-file or the manifest + shard-files layout (shard sub-pages
-    /// are reassembled into logical tables transparently).
+    /// Rebuilds a store from an open [`StoreReader`]: the dictionary as
+    /// committed, every data page with its exact catalog data-point
+    /// count, and the quality, telemetry and analysis pages. Statistics
+    /// are computed from the logical tables (shard sub-pages are
+    /// reassembled first), so they do not depend on the layout.
+    ///
+    /// The archive reads happen inside `dps-store`, but the untrusted
+    /// bytes are *consumed* here.
+    // dps: ingress
     pub fn from_store(reader: &StoreReader) -> std::io::Result<Self> {
-        Self::from_pages(reader.dict(), reader.catalog(), |d, s| reader.table(d, s))
-    }
-
-    fn from_pages(
-        dict: &StringDict,
-        catalog: &dps_store::Catalog,
-        get: impl Fn(u32, u8) -> std::io::Result<Option<std::sync::Arc<Table>>>,
-    ) -> std::io::Result<Self> {
-        let mut store = Self {
-            dict: dict.clone(),
-            tables: BTreeMap::new(),
-            stats: vec![SourceStats::default(); SOURCES.len()],
-            qualities: BTreeMap::new(),
-            telemetry: BTreeMap::new(),
-            analysis: BTreeMap::new(),
-        };
-        for (&(day, source), meta) in &catalog.pages {
-            let table = get(day, source)?.ok_or_else(|| {
+        let mut store = Self::new();
+        store.dict = reader.dict().clone();
+        for (&(day, source), meta) in &reader.catalog().pages {
+            let table = reader.table(day, source)?.ok_or_else(|| {
                 std::io::Error::other("catalog lists a page the archive cannot produce")
             })?;
-            if source == ANALYSIS_SOURCE {
-                store.analysis.insert(day, table.to_bytes());
-                continue;
-            }
-            if source == TELEMETRY_SOURCE {
-                let snapshot = decode_telemetry(&table).ok_or_else(|| {
-                    std::io::Error::other("archive holds an undecodable telemetry page")
-                })?;
-                store.add_telemetry(day, snapshot);
-                continue;
-            }
-            if source == QUALITY_SOURCE {
-                let qualities = decode_qualities(&table).ok_or_else(|| {
-                    std::io::Error::other("archive holds an undecodable quality page")
-                })?;
-                for q in qualities {
-                    store.add_quality(q);
+            match source {
+                ANALYSIS_SOURCE => store.add_analysis(day, table.to_bytes()),
+                TELEMETRY_SOURCE => {
+                    let snapshot = decode_telemetry(&table).ok_or_else(|| {
+                        std::io::Error::other("archive holds an undecodable telemetry page")
+                    })?;
+                    store.add_telemetry(day, snapshot);
                 }
-                continue;
+                QUALITY_SOURCE => {
+                    let qualities = decode_qualities(&table).ok_or_else(|| {
+                        std::io::Error::other("archive holds an undecodable quality page")
+                    })?;
+                    for q in qualities {
+                        store.add_quality(q);
+                    }
+                }
+                _ => {
+                    let src = Source::from_index(u32::from(source))
+                        .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
+                    if table.schema().names() != schema().names() {
+                        return Err(std::io::Error::other(
+                            "archive schema does not match this build; re-run the study",
+                        ));
+                    }
+                    store.add_table(day, src, &table, meta.data_points);
+                }
             }
-            if Source::from_index(u32::from(source)).is_none() {
-                return Err(std::io::Error::other("archive has an unknown source id"));
-            }
-            if table.schema().names() != schema().names() {
-                return Err(std::io::Error::other(
-                    "archive schema does not match this build; re-run the study",
-                ));
-            }
-            store.tables.insert(
-                (day, source),
-                StoredTable {
-                    bytes: table.to_bytes(),
-                    data_points: meta.data_points,
-                },
-            );
-        }
-        for (i, st) in catalog.stats().into_iter().enumerate().take(SOURCES.len()) {
-            store.stats[i] = SourceStats {
-                first_day: st.first_day,
-                last_day: st.last_day,
-                days: st.days,
-                unique_slds: st.unique_keys.into_iter().collect(),
-                data_points: st.data_points,
-                stored_bytes: st.stored_bytes,
-                raw_bytes: st.raw_bytes,
-            };
-        }
-        Ok(store)
-    }
-
-    /// Compatibility shim: persists into `dir` as a single
-    /// [`ARCHIVE_FILE`] (the loose one-file-per-table layout this method
-    /// used to write is deprecated and no longer produced).
-    pub fn save_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        self.save_archive(&dir.join(ARCHIVE_FILE))
-    }
-
-    /// Compatibility shim: loads a directory written by
-    /// [`save_dir`](Self::save_dir). Prefers the single-file archive;
-    /// falls back to the deprecated loose-file layout (whose data-point
-    /// counts were never stored and are estimated as `non-failed rows × 5`).
-    pub fn load_dir(dir: &std::path::Path) -> std::io::Result<Self> {
-        let archive = dir.join(ARCHIVE_FILE);
-        if archive.exists() {
-            return Self::load_archive(&archive);
-        }
-        Self::load_legacy_dir(dir)
-    }
-
-    /// The deprecated loose-file reader (`index.tsv` + `.dpc` files).
-    fn load_legacy_dir(dir: &std::path::Path) -> std::io::Result<Self> {
-        let dict_bytes = std::fs::read(dir.join("dict.bin"))?;
-        let dict = StringDict::from_bytes(&dict_bytes)
-            .ok_or_else(|| std::io::Error::other("corrupt dictionary"))?;
-        let index = std::fs::read_to_string(dir.join("index.tsv"))?;
-        let mut store = Self {
-            dict,
-            tables: BTreeMap::new(),
-            stats: vec![SourceStats::default(); SOURCES.len()],
-            qualities: BTreeMap::new(),
-            telemetry: BTreeMap::new(),
-            analysis: BTreeMap::new(),
-        };
-        for line in index.lines() {
-            let mut parts = line.split('\t');
-            let (Some(day), Some(source), Some(name)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(std::io::Error::other("corrupt index"));
-            };
-            let day: u32 = day.parse().map_err(std::io::Error::other)?;
-            let source: u8 = source.parse().map_err(std::io::Error::other)?;
-            let source = Source::from_index(u32::from(source))
-                .ok_or_else(|| std::io::Error::other("bad source"))?;
-            let bytes = std::fs::read(dir.join(name))?;
-            let table = Table::from_bytes(&bytes).map_err(std::io::Error::other)?;
-            if table.schema().names() != schema().names() {
-                return Err(std::io::Error::other(
-                    "archive schema does not match this build; re-run the study",
-                ));
-            }
-            // The legacy layout never stored data-point counts; estimate.
-            let dps = table
-                .column_by_name("failed")
-                .map(|c| c.iter().filter(|&&f| f == 0).count() as u64 * 5)
-                .unwrap_or(0);
-            store.add_table(day, source, &table, dps);
         }
         Ok(store)
     }
@@ -426,7 +274,9 @@ impl Default for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{append_day, SourcePage};
     use dps_columnar::TableBuilder;
+    use dps_store::StoreWriter;
 
     fn table_with_rows(day: u32, n: u32) -> Table {
         let mut b = TableBuilder::new(schema());
@@ -438,6 +288,32 @@ mod tests {
             b.push_row(&row);
         }
         b.finish()
+    }
+
+    fn page(day: u32, source: Source, rows: u32, data_points: u64) -> SourcePage {
+        SourcePage {
+            source,
+            table: table_with_rows(day, rows),
+            data_points,
+            quality: DayQuality::perfect(day, source, rows, 0),
+        }
+    }
+
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("dps-snapshot-{tag}-{}.dps", std::process::id()))
+    }
+
+    /// Writes one committed day per `(day, pages, telemetry)` entry.
+    fn write_archive(
+        path: &std::path::Path,
+        dict: &StringDict,
+        days: Vec<(u32, Vec<SourcePage>, Snapshot)>,
+    ) {
+        std::fs::remove_file(path).ok();
+        let mut writer = StoreWriter::create_store(path, 1, Some(UNIQUE_KEY_COLUMN)).unwrap();
+        for (day, pages, telemetry) in days {
+            append_day(&mut writer, dict, day, pages, telemetry, None).unwrap();
+        }
     }
 
     #[test]
@@ -456,20 +332,25 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let mut store = SnapshotStore::new();
-        store.dict.intern("cloudflare.com");
-        store.add_table(0, Source::Com, &table_with_rows(0, 50), 250);
-        store.add_table(1, Source::Com, &table_with_rows(1, 60), 300);
-        store.add_table(0, Source::Org, &table_with_rows(0, 10), 50);
-        let dir = std::env::temp_dir().join(format!("dps-store-test-{}", std::process::id()));
-        store.save_dir(&dir).unwrap();
-        let back = SnapshotStore::load_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(
-            back.dict.get("cloudflare.com"),
-            store.dict.get("cloudflare.com")
+    fn archive_roundtrip() {
+        let mut dict = StringDict::new();
+        dict.intern("cloudflare.com");
+        let path = temp_path("roundtrip");
+        write_archive(
+            &path,
+            &dict,
+            vec![
+                (
+                    0,
+                    vec![page(0, Source::Com, 50, 250), page(0, Source::Org, 10, 50)],
+                    Snapshot::default(),
+                ),
+                (1, vec![page(1, Source::Com, 60, 300)], Snapshot::default()),
+            ],
         );
+        let back = SnapshotStore::load_archive(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.dict.get("cloudflare.com"), dict.get("cloudflare.com"));
         assert_eq!(back.days(Source::Com), vec![0, 1]);
         let t = back.table(1, Source::Com).unwrap();
         assert_eq!(t.rows(), 60);
@@ -479,31 +360,32 @@ mod tests {
 
     /// Regression: `data_points` used to be reconstructed on reload as
     /// `non-failed rows × 5`, silently replacing the true collected count.
-    /// The archive catalog persists the exact value, so a save→load
-    /// roundtrip must preserve every `SourceStats` field bit-for-bit.
+    /// The archive catalog persists the exact value, so a reload must
+    /// reproduce every `SourceStats` field bit-for-bit.
     #[test]
-    fn save_load_roundtrips_stats_exactly() {
-        let mut store = SnapshotStore::new();
-        store.dict.intern("incapdns.net");
+    fn reload_keeps_stats_exactly() {
+        let mut dict = StringDict::new();
+        dict.intern("incapdns.net");
         // 400 and 301 are deliberately NOT multiples of rows×5, so the old
         // estimate could never reproduce them.
-        store.add_table(0, Source::Com, &table_with_rows(0, 100), 400);
-        store.add_table(2, Source::Com, &table_with_rows(2, 80), 301);
-        store.add_table(1, Source::Nl, &table_with_rows(1, 30), 77);
-        let path =
-            std::env::temp_dir().join(format!("dps-snapshot-exact-{}.dps", std::process::id()));
-        store.save_archive(&path).unwrap();
+        let mut expected = SnapshotStore::new();
+        expected.add_table(0, Source::Com, &table_with_rows(0, 100), 400);
+        expected.add_table(1, Source::Nl, &table_with_rows(1, 30), 77);
+        expected.add_table(2, Source::Com, &table_with_rows(2, 80), 301);
+        let path = temp_path("exact");
+        write_archive(
+            &path,
+            &dict,
+            vec![
+                (0, vec![page(0, Source::Com, 100, 400)], Snapshot::default()),
+                (1, vec![page(1, Source::Nl, 30, 77)], Snapshot::default()),
+                (2, vec![page(2, Source::Com, 80, 301)], Snapshot::default()),
+            ],
+        );
         let back = SnapshotStore::load_archive(&path).unwrap();
         std::fs::remove_file(&path).ok();
         for source in SOURCES {
-            let (a, b) = (store.stats(source), back.stats(source));
-            assert_eq!(a.first_day, b.first_day, "{source:?} first_day");
-            assert_eq!(a.last_day, b.last_day, "{source:?} last_day");
-            assert_eq!(a.days, b.days, "{source:?} days");
-            assert_eq!(a.data_points, b.data_points, "{source:?} data_points");
-            assert_eq!(a.stored_bytes, b.stored_bytes, "{source:?} stored_bytes");
-            assert_eq!(a.raw_bytes, b.raw_bytes, "{source:?} raw_bytes");
-            assert_eq!(a.unique_slds, b.unique_slds, "{source:?} unique_slds");
+            assert_eq!(expected.stats(source), back.stats(source), "{source:?}");
         }
         assert_eq!(back.stats(Source::Com).data_points, 701);
         assert_eq!(back.stats(Source::Nl).data_points, 77);
@@ -512,9 +394,6 @@ mod tests {
     #[test]
     fn quality_records_roundtrip_through_the_archive() {
         use crate::quality::CauseCounts;
-        let mut store = SnapshotStore::new();
-        store.add_table(0, Source::Com, &table_with_rows(0, 10), 50);
-        store.add_table(1, Source::Com, &table_with_rows(1, 10), 50);
         let q0 = DayQuality {
             day: 0,
             source: Source::Com,
@@ -533,11 +412,19 @@ mod tests {
             breaker_trips: 1,
             hedges: 6,
         };
-        store.add_quality(q0);
-        store.add_quality(DayQuality::perfect(1, Source::Com, 10, 0));
-        let path =
-            std::env::temp_dir().join(format!("dps-snapshot-quality-{}.dps", std::process::id()));
-        store.save_archive(&path).unwrap();
+        let day0 = SourcePage {
+            quality: q0,
+            ..page(0, Source::Com, 10, 50)
+        };
+        let path = temp_path("quality");
+        write_archive(
+            &path,
+            &StringDict::new(),
+            vec![
+                (0, vec![day0], Snapshot::default()),
+                (1, vec![page(1, Source::Com, 10, 50)], Snapshot::default()),
+            ],
+        );
         let back = SnapshotStore::load_archive(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back.quality(0, Source::Com), Some(&q0));
@@ -553,12 +440,12 @@ mod tests {
         let registry = dps_telemetry::Registry::new();
         registry.counter("sweep.attempted").add(42);
         registry.histogram("sweep.day.us").observe(1_000_000);
-        let mut store = SnapshotStore::new();
-        store.add_table(0, Source::Com, &table_with_rows(0, 10), 50);
-        store.add_telemetry(0, registry.snapshot());
-        let path =
-            std::env::temp_dir().join(format!("dps-snapshot-telemetry-{}.dps", std::process::id()));
-        store.save_archive(&path).unwrap();
+        let path = temp_path("telemetry");
+        write_archive(
+            &path,
+            &StringDict::new(),
+            vec![(0, vec![page(0, Source::Com, 10, 50)], registry.snapshot())],
+        );
         let back = SnapshotStore::load_archive(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let day0 = back.telemetry(0).expect("telemetry page restored");
@@ -574,8 +461,11 @@ mod tests {
     }
 
     #[test]
-    fn load_missing_dir_errors() {
-        assert!(SnapshotStore::load_dir(std::path::Path::new("/nonexistent-dps")).is_err());
+    fn load_missing_archive_errors() {
+        assert!(
+            SnapshotStore::load_archive(std::path::Path::new("/nonexistent-dps/archive.dps"))
+                .is_err()
+        );
     }
 
     #[test]

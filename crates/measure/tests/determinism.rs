@@ -9,7 +9,8 @@
 //! pinpointable diff instead of an opaque `cmp` failure in CI.
 
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{SnapshotStore, Study, StudyConfig};
+use dps_measure::{SnapshotStore, Source, Study, StudyConfig, SOURCES};
+use dps_store::StoreReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique suffix per archive file so concurrently running tests in this
@@ -23,13 +24,14 @@ fn run_once(seed: u64) -> Vec<u8> {
         cc_start_day: 4,
         stride: 1,
     };
-    let store = Study::new(config).run(&mut world);
     let path = std::env::temp_dir().join(format!(
         "dps-determinism-{}-{seed}-{}.dps",
         std::process::id(),
         NEXT_FILE.fetch_add(1, Ordering::Relaxed)
     ));
-    store.save_archive(&path).expect("archive writes");
+    Study::new(config)
+        .run_archived(&mut world, &path)
+        .expect("archive writes");
     let bytes = std::fs::read(&path).expect("archive readable");
     std::fs::remove_file(&path).ok();
     bytes
@@ -55,22 +57,41 @@ fn different_seeds_produce_different_archives() {
     assert_ne!(a, c, "archives do not depend on the seed at all");
 }
 
+/// Rehydration is lossless: every data page reloads to the archive's own
+/// table bytes, and on a single-file archive (whose catalog records each
+/// logical page as written) the computed statistics equal the catalog's.
 #[test]
-fn byte_identical_archives_reload_identically() {
+fn archive_reload_is_lossless() {
     let bytes = run_once(11);
     let path =
         std::env::temp_dir().join(format!("dps-determinism-reload-{}.dps", std::process::id()));
     std::fs::write(&path, &bytes).expect("archive writes");
     let store = SnapshotStore::load_archive(&path).expect("archive loads");
-    // Re-serialising a loaded store reproduces the original bytes: load is
-    // lossless and save is a pure function of content.
-    let path2 =
-        std::env::temp_dir().join(format!("dps-determinism-resave-{}.dps", std::process::id()));
-    store.save_archive(&path2).expect("archive re-writes");
-    let again = std::fs::read(&path2).expect("archive readable");
+    let reader = StoreReader::open_auto(&path).expect("archive opens");
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&path2).ok();
-    assert_eq!(bytes, again, "save(load(a)) differed from a");
+    assert_eq!(store.dict.to_bytes(), reader.dict().to_bytes());
+    let catalog = reader.catalog().stats();
+    for source in SOURCES {
+        let (st, cat) = (store.stats(source), &catalog[source.index()]);
+        assert_eq!(st.days, cat.days, "{source:?}");
+        assert_eq!(st.first_day, cat.first_day, "{source:?}");
+        assert_eq!(st.last_day, cat.last_day, "{source:?}");
+        assert_eq!(st.data_points, cat.data_points, "{source:?}");
+        assert_eq!(st.stored_bytes, cat.stored_bytes, "{source:?}");
+        assert_eq!(st.raw_bytes, cat.raw_bytes, "{source:?}");
+        assert!(
+            st.unique_slds.iter().eq(cat.unique_keys.iter()),
+            "{source:?}"
+        );
+        for day in store.days(source) {
+            let page = reader
+                .table(day, source.index() as u8)
+                .expect("page reads")
+                .expect("page exists");
+            let loaded = store.table(day, source).expect("table loads");
+            assert_eq!(loaded.to_bytes(), page.to_bytes(), "{source:?} day {day}");
+        }
+    }
 }
 
 #[test]
@@ -142,14 +163,13 @@ fn streaming_blocks_match_materialized_collection_byte_for_byte() {
     assert_eq!(a, b, "stream-block size leaked into the archive bytes");
 }
 
-/// Shard count is likewise invisible in content: loading a 3-shard
-/// archive and a single-file archive of the same-seed run, then
-/// re-saving both through the same single-file writer, must produce
-/// identical bytes (same pages, same dictionary, same stats — the
-/// canonical re-save erases only the commit granularity, which is the
-/// one legitimate difference between the two on-disk histories).
+/// Shard count is likewise invisible in content: the single-file and
+/// the 3-shard archive of one same-seed study rehydrate to equal stores —
+/// the same dictionary, the same tables, and the same per-source
+/// statistics, stored bytes included (computed from the logical tables,
+/// not from the shard sub-pages).
 #[test]
-fn sharded_study_reloads_to_the_single_file_bytes() {
+fn sharded_and_single_file_archives_rehydrate_identically() {
     let single = run_archived_once(14, dps_measure::STREAM_BLOCK_ENTRIES, 1);
     let sharded = run_archived_once(14, dps_measure::STREAM_BLOCK_ENTRIES, 3);
     assert!(
@@ -160,18 +180,23 @@ fn sharded_study_reloads_to_the_single_file_bytes() {
         !single.join("archive.manifest").exists(),
         "shards=1 keeps the historical single-file layout"
     );
-    let from_single =
-        SnapshotStore::load_archive(&single.join("archive.dps")).expect("single-file loads");
-    let from_sharded =
-        SnapshotStore::load_archive(&sharded.join("archive.dps")).expect("sharded loads");
-    let canon_single = single.join("resaved.dps");
-    let canon_sharded = sharded.join("resaved.dps");
-    from_single.save_archive(&canon_single).expect("re-save");
-    from_sharded.save_archive(&canon_sharded).expect("re-save");
-    let a = std::fs::read(&canon_single).expect("canonical single");
-    let b = std::fs::read(&canon_sharded).expect("canonical sharded");
+    let a = SnapshotStore::load_archive(&single.join("archive.dps")).expect("single-file loads");
+    let b = SnapshotStore::load_archive(&sharded.join("archive.dps")).expect("sharded loads");
     std::fs::remove_dir_all(&single).ok();
     std::fs::remove_dir_all(&sharded).ok();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "sharded content drifted from the single-file run");
+    assert_eq!(a.dict.to_bytes(), b.dict.to_bytes());
+    assert!(a.stats(Source::Com).days > 0);
+    for source in SOURCES {
+        assert_eq!(a.stats(source), b.stats(source), "{source:?} stats");
+        assert_eq!(a.encoded(source), b.encoded(source), "{source:?} tables");
+        assert_eq!(
+            a.qualities(source),
+            b.qualities(source),
+            "{source:?} quality"
+        );
+    }
+    assert_eq!(
+        a.merged_telemetry().to_json(),
+        b.merged_telemetry().to_json()
+    );
 }

@@ -40,7 +40,7 @@ mod tests {
     use super::*;
     use dps_core::{CompiledRefs, ProviderRefs, QualityMask, Scanner, DEFAULT_MIN_COVERAGE};
     use dps_ecosystem::{ScenarioParams, World};
-    use dps_measure::{Study, StudyConfig};
+    use dps_measure::{SnapshotStore, Study, StudyConfig};
 
     /// The tentpole invariant, in-process: run a study with the engine
     /// observing every commit, then full-rescan the same archive with
@@ -57,7 +57,7 @@ mod tests {
         };
         let mut world = World::imc2016(ScenarioParams::tiny(13));
         let mut engine = StreamEngine::new();
-        let store = Study::new(config)
+        Study::new(config)
             .run_archived_observed(&mut world, &path, Some(&mut engine))
             .unwrap();
 
@@ -67,9 +67,10 @@ mod tests {
             &engine.masked_gtld_days(),
         );
 
+        let store = SnapshotStore::load_archive(&path).unwrap();
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
-        let archive = dps_store::Archive::open(&path).unwrap();
-        let out = Scanner::new(&refs).run_archive(&archive).unwrap();
+        let archive = dps_store::StoreReader::Single(dps_store::Archive::open(&path).unwrap());
+        let out = Scanner::new(&refs).run_store(&archive).unwrap();
         let mask = QualityMask::from_store(&store, DEFAULT_MIN_COVERAGE);
         let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());
         std::fs::remove_file(&path).ok();

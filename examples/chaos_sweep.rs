@@ -9,9 +9,11 @@
 //! ```
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
+use dps_scope::columnar::StringDict;
 use dps_scope::core::DEFAULT_MIN_COVERAGE;
 use dps_scope::measure::collector::{SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path_supervised;
+use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
 use std::sync::Arc;
 
@@ -35,7 +37,9 @@ fn main() {
         ("day-long total outage", "blackout@0..inf"),
     ];
 
-    let mut store = SnapshotStore::new();
+    // The quality mask only needs the days' quality records.
+    let mut qualities = SnapshotStore::new();
+    let mut dict = StringDict::new();
     let mut interner = SldInterner::new();
     for (day, (label, spec)) in scenarios.iter().enumerate() {
         let net = Network::new(42);
@@ -48,15 +52,18 @@ fn main() {
             .with_config(ResolverConfig::resilient())
             .with_health(health);
         let mut path = WirePath::new(resolver);
-        let q = sweep_with_path_supervised(
+        let page = sweep_with_path_supervised(
             &world,
             &mut path,
             Source::Com,
             day as u32,
-            &mut store,
+            &mut dict,
             &mut interner,
             &SupervisorConfig::default(),
+            &SweepMetrics::default(),
         );
+        let q = page.quality;
+        qualities.add_quality(q);
         println!(
             "{label:<38} coverage {:>6.2}%  retried {:>3} recovered {:>3}  \
              breaker trips {:>3}  hedges {:>4}",
@@ -68,7 +75,7 @@ fn main() {
         );
     }
 
-    let mask = QualityMask::from_store(&store, DEFAULT_MIN_COVERAGE);
+    let mask = QualityMask::from_store(&qualities, DEFAULT_MIN_COVERAGE);
     println!(
         "\nquality mask (coverage < {:.0}%): days {:?} gated out of trend analyses —",
         100.0 * mask.min_coverage(),

@@ -8,6 +8,7 @@
 //! ```
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
+use dps_scope::columnar::StringDict;
 use dps_scope::measure::collector::{SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path;
 use dps_scope::prelude::*;
@@ -42,11 +43,11 @@ fn main() {
         });
         let mut path = WirePath::new(resolver);
 
-        let mut store = SnapshotStore::new();
+        let mut dict = StringDict::new();
         let mut interner = SldInterner::new();
-        sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
+        let page = sweep_with_path(&world, &mut path, Source::Com, 0, &mut dict, &mut interner);
 
-        let table = store.table(0, Source::Com).expect("table written");
+        let table = page.table;
         let failed: u32 = table.column_by_name("failed").unwrap().iter().sum();
         let stats = net.stats().snapshot();
         println!(

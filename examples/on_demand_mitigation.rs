@@ -90,12 +90,23 @@ fn main() {
 
     // Run the real pipeline and show the methodology's verdict.
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
+    // The study commits every day to an archive (here in a temp
+    // directory); the analysis reads it back.
+    let dir = std::env::temp_dir().join(format!(
+        "dps-example-on-demand-mitigation-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(dps_scope::measure::ARCHIVE_FILE);
+    Study::new(StudyConfig {
         days: 120,
         cc_start_day: 120,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("load archive");
+    std::fs::remove_dir_all(&dir).ok();
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
 

@@ -24,12 +24,20 @@ fn main() {
     );
 
     // 2. Measure: daily sweeps of every zone plus the Alexa-style list.
-    let store = Study::new(StudyConfig {
+    // The study commits every day to an archive (here in a temp
+    // directory); the analysis reads it back.
+    let dir = std::env::temp_dir().join(format!("dps-example-quickstart-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(dps_scope::measure::ARCHIVE_FILE);
+    Study::new(StudyConfig {
         days: 60,
         cc_start_day: 40,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("load archive");
+    std::fs::remove_dir_all(&dir).ok();
     println!(
         "measured {} data points, stored {} (compressed)",
         dps_scope::core::report::human_count(

@@ -22,9 +22,11 @@
 use dps_bench::experiments::{experiment_ids, run, Context, ExperimentConfig};
 use dps_scope::authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
+use dps_scope::measure::pipeline::sweep_with_path_supervised;
+use dps_scope::measure::snapshot::UNIQUE_KEY_COLUMN;
 use dps_scope::measure::{
-    DayObserver, SupervisorConfig, SweepMetrics, ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE,
+    append_day, day_committed, due_sources_for, DayObserver, SupervisorConfig, SweepMetrics,
+    ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE,
 };
 use dps_scope::netsim::ChaosSchedule;
 use dps_scope::prelude::*;
@@ -312,22 +314,41 @@ fn cmd_measure(args: CommonArgs) {
     // checkpoint rides in the same durable footer.
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let store = Study::new(StudyConfig {
-        days: args.days,
-        cc_start_day: args.cc_start,
-        stride: args.stride,
-    })
-    .with_shards(args.shards)
-    .run_archived_observed(&mut world, &path, observer)
-    .expect("archived study");
-    println!(
-        "archived {} to {}",
-        dps_scope::core::report::human_bytes(store.total_stored_bytes()),
-        path.display()
-    );
+    Study::new(study_config(&args))
+        .with_shards(args.shards)
+        .run_archived_observed(&mut world, &path, observer)
+        .expect("archived study");
+    print_archived(&path, "");
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
+}
+
+/// The measurement calendar the common arguments describe.
+fn study_config(args: &CommonArgs) -> StudyConfig {
+    StudyConfig {
+        days: args.days,
+        cc_start_day: args.cc_start,
+        stride: args.stride,
+    }
+}
+
+/// One-line summary after a sweep: the archive's encoded data-page bytes
+/// and its path.
+fn print_archived(path: &std::path::Path, suffix: &str) {
+    let reader = StoreReader::open_auto(path).expect("reopen archive");
+    let data_bytes: u64 = reader
+        .catalog()
+        .pages
+        .values()
+        .filter(|p| Source::from_index(u32::from(p.source)).is_some())
+        .map(|p| p.len)
+        .sum();
+    println!(
+        "archived {} to {}{suffix}",
+        dps_scope::core::report::human_bytes(data_bytes),
+        path.display()
+    );
 }
 
 /// One-line streaming-analysis summary after a `--stream` sweep.
@@ -352,12 +373,19 @@ fn cmd_measure_chaos(
     path: &std::path::Path,
     schedule: ChaosSchedule,
 ) {
-    let mut store = SnapshotStore::new();
+    let config = study_config(args);
+    let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))
+        .expect("open chaos archive");
+    let mut dict = writer.dict().clone();
     let mut interner = SldInterner::new();
     let supervisor = SupervisorConfig::default();
     let mut day = 0u32;
     while day < args.days {
         world.advance_to(Day(day));
+        if day_committed(&writer, &config, day) {
+            day += args.stride.max(1);
+            continue;
+        }
         // One registry per day, like the network itself: the day's
         // snapshot is self-contained, so an aborted run re-measuring the
         // day reproduces the identical telemetry page.
@@ -377,22 +405,19 @@ fn cmd_measure_chaos(
         .with_health(health);
         let mut wire = WirePath::new(resolver);
         let sweep_metrics = SweepMetrics::new(&registry);
-        let mut due = vec![Source::Com, Source::Net, Source::Org];
-        if day >= args.cc_start {
-            due.push(Source::Nl);
-            due.push(Source::Alexa);
-        }
-        for source in due {
-            let q = sweep_with_path_supervised_metered(
+        let mut pages = Vec::new();
+        for source in due_sources_for(&config, day) {
+            let page = sweep_with_path_supervised(
                 world,
                 &mut wire,
                 source,
                 day,
-                &mut store,
+                &mut dict,
                 &mut interner,
                 &supervisor,
                 &sweep_metrics,
             );
+            let q = &page.quality;
             println!(
                 "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
                  recovered {:>4}  trips {:>3}  hedges {:>4}",
@@ -404,16 +429,13 @@ fn cmd_measure_chaos(
                 q.breaker_trips,
                 q.hedges,
             );
+            pages.push(page);
         }
-        store.add_telemetry(day, registry.snapshot());
+        append_day(&mut writer, &dict, day, pages, registry.snapshot(), None)
+            .expect("commit chaos day");
         day += args.stride.max(1);
     }
-    store.save_archive(path).expect("save chaos archive");
-    println!(
-        "archived {} to {}",
-        dps_scope::core::report::human_bytes(store.total_stored_bytes()),
-        path.display()
-    );
+    print_archived(path, "");
 }
 
 /// Manager-side read timeout: comfortably above the agents' 100 ms
@@ -578,14 +600,15 @@ fn finish_cluster_run(
 ) {
     let sidecar = archive.join(dps_scope::cluster::PROVENANCE_FILE);
     dps_scope::cluster::write_provenance(&sidecar, &outcome.report).expect("write provenance");
-    println!(
-        "archived {} to {} ({} workers, {} leases, {} dead-letters, {} stale)",
-        dps_scope::core::report::human_bytes(outcome.store.total_stored_bytes()),
-        path.display(),
-        outcome.report.workers_admitted,
-        outcome.report.accepted.len(),
-        outcome.report.dead_letters,
-        outcome.report.stale_rejected,
+    print_archived(
+        path,
+        &format!(
+            " ({} workers, {} leases, {} dead-letters, {} stale)",
+            outcome.report.workers_admitted,
+            outcome.report.accepted.len(),
+            outcome.report.dead_letters,
+            outcome.report.stale_rejected,
+        ),
     );
     println!("provenance sidecar: {}", sidecar.display());
 }

@@ -5,10 +5,12 @@
 //! analysis masks instead of mistaking for a provider exodus.
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
+use dps_scope::columnar::StringDict;
 use dps_scope::core::{growth, DEFAULT_MIN_COVERAGE};
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::{sweep_with_path, sweep_with_path_supervised_metered};
-use dps_scope::measure::SweepMetrics;
+use dps_scope::measure::pipeline::{append_day, sweep_with_path, sweep_with_path_supervised};
+use dps_scope::measure::snapshot::UNIQUE_KEY_COLUMN;
+use dps_scope::measure::{SourcePage, SweepMetrics};
 use dps_scope::prelude::*;
 use dps_scope::telemetry::Registry;
 use std::path::PathBuf;
@@ -18,8 +20,14 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dps-chaos-{tag}-{}.dps", std::process::id()))
 }
 
+/// A fresh single-file archive at `path` for day-by-day commits.
+fn create_archive(path: &std::path::Path) -> StoreWriter {
+    std::fs::remove_file(path).ok();
+    StoreWriter::create_store(path, 1, Some(UNIQUE_KEY_COLUMN)).expect("create archive")
+}
+
 /// One supervised `.com` sweep of `world`'s current day over a fresh
-/// network running `schedule`, appended to `store`. When `registry` is
+/// network running `schedule`, interned into `dict`. When `registry` is
 /// given, the network, health tracker and supervisor all publish
 /// telemetry into it (mirroring `dpscope measure --chaos`).
 #[allow(clippy::too_many_arguments)]
@@ -29,10 +37,10 @@ fn supervised_sweep(
     net_seed: u64,
     day: u32,
     passes: u32,
-    store: &mut SnapshotStore,
+    dict: &mut StringDict,
     interner: &mut SldInterner,
     registry: Option<&Registry>,
-) -> DayQuality {
+) -> SourcePage {
     let net = match registry {
         Some(r) => Network::with_telemetry(net_seed, r),
         None => Network::new(net_seed),
@@ -60,12 +68,12 @@ fn supervised_sweep(
         ..SupervisorConfig::default()
     };
     let metrics = registry.map(SweepMetrics::new).unwrap_or_default();
-    sweep_with_path_supervised_metered(
+    sweep_with_path_supervised(
         world,
         &mut path,
         Source::Com,
         day,
-        store,
+        dict,
         interner,
         &config,
         &metrics,
@@ -101,30 +109,29 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
         catalog.root_hints(),
     );
     let mut path = WirePath::new(resolver);
-    let mut healthy = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    sweep_with_path(
+    let healthy = sweep_with_path(
         &world,
         &mut path,
         Source::Com,
         0,
-        &mut healthy,
+        &mut StringDict::new(),
         &mut interner,
     );
 
     // Chaotic run, supervised.
-    let mut chaotic = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    let q = supervised_sweep(
+    let chaotic = supervised_sweep(
         &world,
         Some(chaos_schedule()),
         5,
         0,
         3,
-        &mut chaotic,
+        &mut StringDict::new(),
         &mut interner,
         None,
     );
+    let q = chaotic.quality;
 
     assert!(q.coverage() >= 0.99, "coverage {}", q.coverage());
     assert_eq!(q.failed, 0, "every dead-lettered name recovered");
@@ -132,12 +139,10 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
     assert!(q.causes.timeouts > 0, "blackout+loss show up as timeouts");
     assert!(q.hedges > 0, "stragglers were hedged");
 
-    let h = healthy.table(0, Source::Com).expect("healthy table");
-    let c = chaotic.table(0, Source::Com).expect("chaotic table");
-    assert_eq!(h.rows(), c.rows());
+    assert_eq!(healthy.table.rows(), chaotic.table.rows());
     assert_eq!(
-        h.to_bytes(),
-        c.to_bytes(),
+        healthy.table.to_bytes(),
+        chaotic.table.to_bytes(),
         "recovered snapshot diverged from the healthy one"
     );
 }
@@ -154,24 +159,33 @@ fn same_seed_chaos_sweeps_are_byte_identical() {
             gtld_days: 2,
             cc_start_day: 2,
         });
-        let mut store = SnapshotStore::new();
+        let path = temp_path(&format!("det-{run}"));
+        let mut writer = create_archive(&path);
+        let mut dict = StringDict::new();
         let mut interner = SldInterner::new();
         for day in 0..2 {
             world.advance_to(Day(day));
-            supervised_sweep(
+            let page = supervised_sweep(
                 &world,
                 Some(chaos_schedule()),
                 40 + u64::from(day),
                 day,
                 2,
-                &mut store,
+                &mut dict,
                 &mut interner,
                 None,
             );
+            append_day(
+                &mut writer,
+                &dict,
+                day,
+                vec![page],
+                Default::default(),
+                None,
+            )
+            .expect("commit day");
         }
-        let path = temp_path(&format!("det-{run}"));
-        std::fs::remove_file(&path).ok();
-        store.save_archive(&path).expect("save archive");
+        drop(writer);
         archives.push(std::fs::read(&path).expect("read archive"));
         std::fs::remove_file(&path).ok();
     }
@@ -194,25 +208,37 @@ fn same_seed_chaos_telemetry_renders_identically() {
             gtld_days: 2,
             cc_start_day: 2,
         });
-        let mut store = SnapshotStore::new();
+        let path = temp_path(&format!("telemetry-{run}"));
+        let mut writer = create_archive(&path);
+        let mut dict = StringDict::new();
         let mut interner = SldInterner::new();
         for day in 0..2 {
             world.advance_to(Day(day));
             // One registry per day, like `dpscope measure --chaos`: each
             // day's telemetry page is a self-contained snapshot.
             let registry = Registry::new();
-            supervised_sweep(
+            let page = supervised_sweep(
                 &world,
                 Some(chaos_schedule()),
                 40 + u64::from(day),
                 day,
                 2,
-                &mut store,
+                &mut dict,
                 &mut interner,
                 Some(&registry),
             );
-            store.add_telemetry(day, registry.snapshot());
+            append_day(
+                &mut writer,
+                &dict,
+                day,
+                vec![page],
+                registry.snapshot(),
+                None,
+            )
+            .expect("commit day");
         }
+        drop(writer);
+        let store = SnapshotStore::load_archive(&path).expect("load archive");
         let per_day: Vec<String> = (0..2)
             .map(|d| store.telemetry(d).expect("day telemetry").to_json())
             .collect();
@@ -230,9 +256,6 @@ fn same_seed_chaos_telemetry_renders_identically() {
             merged.counters.get("sweep.attempted").copied().unwrap_or(0) > 0,
             "supervisor telemetry flowed"
         );
-        let path = temp_path(&format!("telemetry-{run}"));
-        std::fs::remove_file(&path).ok();
-        store.save_archive(&path).expect("save archive");
         let bytes = std::fs::read(&path).expect("read archive");
         std::fs::remove_file(&path).ok();
         runs.push((per_day, merged.to_json(), bytes));
@@ -257,29 +280,27 @@ fn chaos_telemetry_diverges_while_data_pages_match() {
     world.advance_to(Day(0));
 
     let healthy_reg = Registry::new();
-    let mut healthy = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    supervised_sweep(
+    let healthy = supervised_sweep(
         &world,
         None,
         5,
         0,
         3,
-        &mut healthy,
+        &mut StringDict::new(),
         &mut interner,
         Some(&healthy_reg),
     );
 
     let chaos_reg = Registry::new();
-    let mut chaotic = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    supervised_sweep(
+    let chaotic = supervised_sweep(
         &world,
         Some(chaos_schedule()),
         5,
         0,
         3,
-        &mut chaotic,
+        &mut StringDict::new(),
         &mut interner,
         Some(&chaos_reg),
     );
@@ -301,11 +322,9 @@ fn chaos_telemetry_diverges_while_data_pages_match() {
         "chaos run retried no more than the healthy one"
     );
 
-    let ht = healthy.table(0, Source::Com).expect("healthy table");
-    let ct = chaotic.table(0, Source::Com).expect("chaotic table");
     assert_eq!(
-        ht.to_bytes(),
-        ct.to_bytes(),
+        healthy.table.to_bytes(),
+        chaotic.table.to_bytes(),
         "telemetry diverged AND took the data with it"
     );
 }
@@ -321,22 +340,27 @@ fn full_outage_day_is_recorded_and_masked() {
         gtld_days: 3,
         cc_start_day: 3,
     });
-    let mut store = SnapshotStore::new();
+    let path = temp_path("outage");
+    let mut writer = create_archive(&path);
+    let mut dict = StringDict::new();
     let mut interner = SldInterner::new();
     for day in 0..3 {
         world.advance_to(Day(day));
         let schedule = (day == 1).then(|| ChaosSchedule::new().blackout(None, 0, u64::MAX));
-        supervised_sweep(
-            &world,
-            schedule,
-            60,
+        let page = supervised_sweep(&world, schedule, 60, day, 1, &mut dict, &mut interner, None);
+        append_day(
+            &mut writer,
+            &dict,
             day,
-            1,
-            &mut store,
-            &mut interner,
+            vec![page],
+            Default::default(),
             None,
-        );
+        )
+        .expect("commit day");
     }
+    drop(writer);
+    let store = SnapshotStore::load_archive(&path).expect("load archive");
+    std::fs::remove_file(&path).ok();
 
     let outage = store.quality(1, Source::Com).expect("day 1 quality");
     assert_eq!(

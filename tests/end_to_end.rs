@@ -4,6 +4,23 @@
 
 use dps_scope::core::{attribution, flux, growth, peaks, report};
 use dps_scope::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Measures `config` over `world` into a temp-dir archive and loads it.
+fn archived_store(world: &mut World, config: StudyConfig) -> SnapshotStore {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "dps-e2e-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(dps_scope::measure::ARCHIVE_FILE);
+    Study::new(config).run_archived(world, &path).unwrap();
+    let store = SnapshotStore::load_archive(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    store
+}
 
 const DAYS: u32 = 90;
 const CC: u32 = 60;
@@ -16,12 +33,14 @@ fn run() -> (World, SnapshotStore, ScanOutput, CompiledRefs) {
         cc_start_day: CC,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: DAYS,
-        cc_start_day: CC,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = archived_store(
+        &mut world,
+        StudyConfig {
+            days: DAYS,
+            cc_start_day: CC,
+            stride: 1,
+        },
+    );
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
     (world, store, out, refs)
@@ -169,12 +188,14 @@ fn determinism_same_seed_same_study() {
                 cc_start_day: 20,
             };
             let mut world = World::imc2016(params);
-            let store = Study::new(StudyConfig {
-                days: 20,
-                cc_start_day: 20,
-                stride: 1,
-            })
-            .run(&mut world);
+            let store = archived_store(
+                &mut world,
+                StudyConfig {
+                    days: 20,
+                    cc_start_day: 20,
+                    stride: 1,
+                },
+            );
             store.total_stored_bytes()
         })
         .collect();

@@ -3,11 +3,19 @@
 //! to measure — loss may cause gaps, never wrong data.
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
+use dps_scope::columnar::StringDict;
 use dps_scope::measure::collector::{SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path;
+use dps_scope::measure::SourcePage;
 use dps_scope::prelude::*;
 
-fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
+/// The wire sweep's pages and the dictionary they were interned into.
+struct WireSweep {
+    dict: StringDict,
+    pages: Vec<SourcePage>,
+}
+
+fn sweep(loss: f64) -> (SnapshotStore, WireSweep) {
     let params = ScenarioParams {
         seed: 31,
         scale: 0.004,
@@ -16,15 +24,25 @@ fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
     };
     let mut world = World::imc2016(params);
 
-    // Bulk reference store.
-    let bulk_store = Study::new(StudyConfig {
+    // Bulk reference store, measured into an archive and read back.
+    let dir = std::env::temp_dir().join(format!(
+        "dps-faulty-{}-{}",
+        std::process::id(),
+        (loss * 100.0) as u32
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = dir.join(dps_scope::measure::ARCHIVE_FILE);
+    Study::new(StudyConfig {
         days: 1,
         cc_start_day: 10,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &archive)
+    .unwrap();
+    let bulk_store = SnapshotStore::load_archive(&archive).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Wire store under faults.
+    // Wire sweep under faults.
     let net = Network::new(5);
     // Corruption is deliberately off here: DNS-over-UDP has no payload
     // integrity, so a bit flipped inside the RDATA of an otherwise valid
@@ -44,21 +62,22 @@ fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
             ..Default::default()
         });
     let mut path = WirePath::new(resolver);
-    let mut wire_store = SnapshotStore::new();
+    let mut dict = StringDict::new();
     let mut interner = SldInterner::new();
-    for source in [Source::Com, Source::Net, Source::Org] {
-        sweep_with_path(&world, &mut path, source, 0, &mut wire_store, &mut interner);
-    }
-    (bulk_store, wire_store)
+    let pages = [Source::Com, Source::Net, Source::Org]
+        .into_iter()
+        .map(|source| sweep_with_path(&world, &mut path, source, 0, &mut dict, &mut interner))
+        .collect();
+    (bulk_store, WireSweep { dict, pages })
 }
 
-fn compare(bulk: &SnapshotStore, wire: &SnapshotStore) -> (usize, usize) {
+fn compare(bulk: &SnapshotStore, wire: &WireSweep) -> (usize, usize) {
     use dps_scope::measure::observation::Row;
     let mut matched = 0usize;
     let mut failed = 0usize;
-    for source in [Source::Com, Source::Net, Source::Org] {
-        let b = bulk.table(0, source).unwrap();
-        let w = wire.table(0, source).unwrap();
+    for page in &wire.pages {
+        let b = bulk.table(0, page.source).unwrap();
+        let w = &page.table;
         assert_eq!(b.rows(), w.rows(), "same input list");
         let bc: Vec<&[u32]> = (0..b.schema().width()).map(|c| b.column(c)).collect();
         let wc: Vec<&[u32]> = (0..w.schema().width()).map(|c| w.column(c)).collect();
@@ -70,9 +89,8 @@ fn compare(bulk: &SnapshotStore, wire: &SnapshotStore) -> (usize, usize) {
                 failed += 1;
                 continue;
             }
-            // Dictionaries differ between stores; compare via strings.
-            let resolve =
-                |store: &SnapshotStore, id: u32| store.dict.resolve(id).unwrap_or("?").to_string();
+            // Dictionaries differ between sweeps; compare via strings.
+            let resolve = |dict: &StringDict, id: u32| dict.resolve(id).unwrap_or("?").to_string();
             // A non-failed row has a good apex measurement; per-record-type
             // sub-queries (www/NS/AAAA) may individually have been lost.
             // Whatever the wire path DID capture must equal ground truth —
@@ -86,10 +104,13 @@ fn compare(bulk: &SnapshotStore, wire: &SnapshotStore) -> (usize, usize) {
                 assert!(rb.aaaa);
             }
             if rw.cname1 != 0 {
-                assert_eq!(resolve(bulk, rb.cname1), resolve(wire, rw.cname1));
+                assert_eq!(
+                    resolve(&bulk.dict, rb.cname1),
+                    resolve(&wire.dict, rw.cname1)
+                );
             }
             if rw.ns1 != 0 {
-                assert_eq!(resolve(bulk, rb.ns1), resolve(wire, rw.ns1));
+                assert_eq!(resolve(&bulk.dict, rb.ns1), resolve(&wire.dict, rw.ns1));
             }
             matched += 1;
         }
@@ -129,11 +150,16 @@ fn corruption_can_alter_rdata_but_not_crash() {
             ..Default::default()
         });
     let mut path = WirePath::new(resolver);
-    let mut store = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
-    let table = store.table(0, Source::Com).unwrap();
-    assert!(table.rows() > 50);
+    let page = sweep_with_path(
+        &world,
+        &mut path,
+        Source::Com,
+        0,
+        &mut StringDict::new(),
+        &mut interner,
+    );
+    assert!(page.table.rows() > 50);
 }
 
 #[test]

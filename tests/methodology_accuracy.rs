@@ -7,6 +7,23 @@
 use dps_scope::core::peaks::{classify_mode, UseMode};
 use dps_scope::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Measures `config` over `world` into a temp-dir archive and loads it.
+fn archived_store(world: &mut World, config: StudyConfig) -> SnapshotStore {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "dps-method-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(dps_scope::measure::ARCHIVE_FILE);
+    Study::new(config).run_archived(world, &path).unwrap();
+    let store = SnapshotStore::load_archive(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    store
+}
 
 const DAYS: u32 = 130;
 
@@ -18,12 +35,14 @@ fn study() -> (World, SnapshotStore) {
         cc_start_day: DAYS,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: DAYS,
-        cc_start_day: DAYS,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = archived_store(
+        &mut world,
+        StudyConfig {
+            days: DAYS,
+            cc_start_day: DAYS,
+            stride: 1,
+        },
+    );
     (world, store)
 }
 
@@ -171,12 +190,14 @@ fn sedo_outage_day_visible_as_akamai_dip() {
         cc_start_day: 270,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: 270,
-        cc_start_day: 270,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = archived_store(
+        &mut world,
+        StudyConfig {
+            days: 270,
+            cc_start_day: 270,
+            stride: 1,
+        },
+    );
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
     let akamai = &out.series.provider_any[0];

@@ -1,9 +1,10 @@
 //! The measurement pipeline through the caching recursor: `sweep_with_path`
-//! over a `RecursorPath` must write byte-identical snapshot tables to the
+//! over a `RecursorPath` must produce byte-identical snapshot tables to the
 //! uncached wire path, and a warm repeat sweep must cost a small fraction
 //! of the packets.
 
 use dps_scope::authdns::Resolver;
+use dps_scope::columnar::StringDict;
 use dps_scope::measure::collector::{RecursorPath, SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path;
 use dps_scope::prelude::*;
@@ -21,17 +22,17 @@ fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
     let catalog = world.materialize(&net);
 
     // Uncached wire sweep.
-    let mut wire_store = SnapshotStore::new();
+    let mut wire_dict = StringDict::new();
     let mut interner = SldInterner::new();
     let resolver = Resolver::new(&net, "172.16.0.7".parse().unwrap(), 3, catalog.root_hints());
     let mut wire_path = WirePath::new(resolver);
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
+    let wire_page = sweep_with_path(
         &world,
         &mut wire_path,
         Source::Com,
         0,
-        &mut wire_store,
+        &mut wire_dict,
         &mut interner,
     );
     let wire_packets = net.stats().snapshot().sent - before;
@@ -40,37 +41,36 @@ fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
     // Cold recursor sweep, then a warm repeat of the same day.
     let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
     let mut rec_path = RecursorPath::new(recursor.worker(&net, "172.16.0.8".parse().unwrap(), 3));
-    let mut cold_store = SnapshotStore::new();
-    let mut warm_store = SnapshotStore::new();
+    let mut rec_dict = StringDict::new();
     let mut rec_interner = SldInterner::new();
     recursor.begin_day(Day(0));
 
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
+    let cold_page = sweep_with_path(
         &world,
         &mut rec_path,
         Source::Com,
         0,
-        &mut cold_store,
+        &mut rec_dict,
         &mut rec_interner,
     );
     let cold_packets = net.stats().snapshot().sent - before;
 
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
+    let warm_page = sweep_with_path(
         &world,
         &mut rec_path,
         Source::Com,
         0,
-        &mut warm_store,
+        &mut rec_dict,
         &mut rec_interner,
     );
     let warm_packets = net.stats().snapshot().sent - before;
 
     // Identical observations: the encoded snapshots are byte-for-byte equal.
-    let wire_bytes = wire_store.encoded(Source::Com);
-    assert_eq!(wire_bytes, cold_store.encoded(Source::Com));
-    assert_eq!(wire_bytes, warm_store.encoded(Source::Com));
+    let wire_bytes = wire_page.table.to_bytes();
+    assert_eq!(wire_bytes, cold_page.table.to_bytes());
+    assert_eq!(wire_bytes, warm_page.table.to_bytes());
 
     // The cache pays for itself: even the cold sweep shares infrastructure,
     // and the warm sweep costs at least 5× less than the uncached wire path.

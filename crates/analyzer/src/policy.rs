@@ -38,6 +38,8 @@ pub const DETERMINISM_SCOPE: &[&str] = &[
 pub const PANIC_SAFETY_SCOPE: &[&str] = &[
     "crates/dns/src/wire.rs",
     "crates/dns/src/message.rs",
+    "crates/dns/src/name.rs",
+    "crates/dns/src/psl.rs",
     "crates/authdns/src/zonefile.rs",
     "crates/store/src/format.rs",
     "crates/store/src/archive.rs",

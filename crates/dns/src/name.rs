@@ -7,6 +7,8 @@
 //! the property the detection methodology relies on when matching
 //! second-level domains in `CNAME`/`NS` records.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::NameError;
 use std::fmt;
 use std::str::FromStr;
@@ -154,11 +156,27 @@ impl Name {
 
     /// Prepends a single label: `prepend("www")` on `examp.le.` gives
     /// `www.examp.le.`.
+    ///
+    /// Builds the result in one exactly-sized allocation; the label is
+    /// validated and lower-cased like every [`from_labels`](Self::from_labels)
+    /// label.
     pub fn prepend(&self, label: &str) -> Result<Self, NameError> {
-        let mut labels: Vec<&[u8]> = vec![label.as_bytes()];
-        let tail: Vec<&[u8]> = self.labels().collect();
-        labels.extend(tail);
-        Self::from_labels(labels)
+        let label = label.as_bytes();
+        if label.is_empty() {
+            return Err(NameError::EmptyLabel);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong(label.len()));
+        }
+        let len = 1 + label.len() + self.wire.len();
+        if len > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(len));
+        }
+        let mut wire = Vec::with_capacity(len);
+        wire.push(label.len() as u8);
+        wire.extend(label.iter().map(u8::to_ascii_lowercase));
+        wire.extend_from_slice(&self.wire);
+        Ok(Self { wire })
     }
 
     /// The suffix of `self` keeping only the last `n` labels.
@@ -166,18 +184,21 @@ impl Name {
     /// `www.examp.le.` with `n = 2` gives `examp.le.`; if the name has fewer
     /// than `n` labels the whole name is returned.
     pub fn suffix(&self, n: usize) -> Self {
-        let count = self.label_count();
-        if count <= n {
-            return self.clone();
-        }
-        let mut rest = self.wire.as_slice();
-        for _ in 0..count - n {
-            let Some(&len) = rest.first() else { break };
-            rest = rest.get(1 + len as usize..).unwrap_or(&[]);
-        }
         Self {
-            wire: rest.to_vec(),
+            wire: self.suffix_wire(n).to_vec(),
         }
+    }
+
+    /// The wire form of [`suffix(n)`](Self::suffix), borrowed from `self`
+    /// (always ends with the root octet). Compares suffixes — e.g. two
+    /// names' SLDs, `suffix_wire(2)` — without building either one.
+    pub fn suffix_wire(&self, n: usize) -> &[u8] {
+        let mut rest = self.wire.as_slice();
+        for _ in n..self.label_count() {
+            let Some(&len) = rest.first() else { break };
+            rest = rest.get(1 + usize::from(len)..).unwrap_or(&[]);
+        }
+        rest
     }
 
     /// The registered-domain heuristic used throughout the paper: the last
@@ -338,6 +359,66 @@ mod tests {
     #[test]
     fn prepend_builds_child() {
         assert_eq!(n("examp.le").prepend("www").unwrap(), n("www.examp.le"));
+    }
+
+    /// `prepend` builds in one allocation; it must agree with the
+    /// `from_labels` route it replaced, errors included.
+    #[test]
+    fn prepend_matches_from_labels_route() {
+        fn via_labels(base: &Name, label: &str) -> Result<Name, NameError> {
+            let mut labels: Vec<&[u8]> = vec![label.as_bytes()];
+            labels.extend(base.labels());
+            Name::from_labels(labels)
+        }
+        let l63 = "a".repeat(63);
+        // 3 labels of 63 octets: 193 wire octets; one more 63-octet label
+        // pushes it to 257 > 255.
+        let big = n(&format!("{l63}.{l63}.{l63}"));
+        let bases = [
+            Name::root(),
+            n("le"),
+            n("examp.le"),
+            n("Mixed.CASE.le"),
+            big,
+        ];
+        let l64 = "b".repeat(64);
+        let labels = ["www", "WwW", "x", "", l63.as_str(), l64.as_str(), "_dmarc"];
+        for base in &bases {
+            for label in labels {
+                assert_eq!(
+                    base.prepend(label),
+                    via_labels(base, label),
+                    "{label:?} + {base}"
+                );
+            }
+        }
+        assert_eq!(n("le").prepend(""), Err(NameError::EmptyLabel));
+        assert_eq!(n("le").prepend(&l64), Err(NameError::LabelTooLong(64)));
+        assert!(matches!(
+            bases[4].prepend(&l63),
+            Err(NameError::NameTooLong(257))
+        ));
+        let upper = n("examp.le").prepend("WWW").unwrap();
+        assert_eq!(upper.as_wire(), b"\x03www\x05examp\x02le\x00");
+        assert_eq!(upper.wire_len(), upper.as_wire().len());
+    }
+
+    #[test]
+    fn suffix_wire_matches_owned_suffix() {
+        for s in ["", "le", "examp.le", "www.examp.le", "a.b.c.d.e"] {
+            let name = n(s);
+            let labels: Vec<&[u8]> = name.labels().collect();
+            for k in 0..=labels.len() + 2 {
+                // Independent reference: rebuild the last `k` labels.
+                let keep = labels.get(labels.len().saturating_sub(k)..).unwrap();
+                let expected = Name::from_labels(keep.iter().copied()).unwrap();
+                assert_eq!(name.suffix_wire(k), expected.as_wire(), "{name} {k}");
+                assert_eq!(name.suffix_wire(k), name.suffix(k).as_wire(), "{name} {k}");
+            }
+        }
+        assert_eq!(Name::root().suffix_wire(2), [0]);
+        assert_eq!(n("www.examp.le").suffix_wire(2), n("examp.le").as_wire());
+        assert_eq!(n("www.examp.le").suffix_wire(0), [0]);
     }
 
     #[test]

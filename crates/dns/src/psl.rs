@@ -12,28 +12,37 @@
 //! through this API so pointing it at real data with a full PSL is a
 //! drop-in change.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::name::Name;
 use std::collections::HashSet;
 
 /// A compiled public-suffix list.
 #[derive(Debug, Clone, Default)]
 pub struct PublicSuffixList {
-    /// Exact rules, stored as reversed label paths joined by '.'
-    /// (e.g. `uk.co` for the rule `co.uk`).
-    rules: HashSet<String>,
-    /// Wildcard rules: `*.ck` stored as `ck` (any single label below).
-    wildcards: HashSet<String>,
-    /// Exception rules: `!www.ck` stored as `ck.www`.
-    exceptions: HashSet<String>,
+    /// Exact rules, stored in uncompressed wire form (e.g.
+    /// `\x02co\x02uk\x00` for the rule `co.uk`), so a name's suffix is
+    /// looked up as the borrowed slice [`Name::suffix_wire`] returns.
+    rules: HashSet<Vec<u8>>,
+    /// Wildcard rules: `*.ck` stored as the wire form of `ck` (any single
+    /// label below).
+    wildcards: HashSet<Vec<u8>>,
+    /// Exception rules: `!www.ck` stored as the wire form of `www.ck`.
+    exceptions: HashSet<Vec<u8>>,
 }
 
-fn reversed_key(labels: &[&[u8]]) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|l| String::from_utf8_lossy(l).into_owned())
-        .collect();
-    parts.reverse();
-    parts.join(".")
+/// The wire form of a dotted rule, labels kept verbatim. A label no name
+/// can carry (empty, or over 63 octets) yields a key no name's suffix
+/// can equal: an empty label ends the key early, an oversized one gets
+/// length octet 255.
+fn wire_key(rule: &str) -> Vec<u8> {
+    let mut key = Vec::with_capacity(rule.len() + 2);
+    for label in rule.split('.') {
+        key.push(u8::try_from(label.len()).unwrap_or(u8::MAX));
+        key.extend_from_slice(label.as_bytes());
+    }
+    key.push(0);
+    key
 }
 
 impl PublicSuffixList {
@@ -47,11 +56,11 @@ impl PublicSuffixList {
                 continue;
             }
             if let Some(exc) = line.strip_prefix('!') {
-                psl.exceptions.insert(reverse_dotted(exc));
+                psl.exceptions.insert(wire_key(exc));
             } else if let Some(wild) = line.strip_prefix("*.") {
-                psl.wildcards.insert(reverse_dotted(wild));
+                psl.wildcards.insert(wire_key(wild));
             } else {
-                psl.rules.insert(reverse_dotted(line));
+                psl.rules.insert(wire_key(line));
             }
         }
         psl
@@ -81,33 +90,33 @@ impl PublicSuffixList {
     /// algorithm (longest matching rule wins; exceptions beat wildcards;
     /// unknown TLDs match implicitly with one label).
     pub fn suffix_labels(&self, name: &Name) -> usize {
-        let labels: Vec<&[u8]> = name.labels().collect();
-        let n = labels.len();
+        // Walk the label boundaries left to right: the suffix starting at
+        // the i-th label holds `take = n - i` labels, so candidate tails
+        // arrive longest first and each is a borrowed slice of the wire.
+        let n = name.label_count();
         let mut best = 1.min(n); // implicit `*` rule: unknown TLD = 1 label
-        for take in 1..=n {
-            let Some(tail) = labels.get(n - take..) else {
-                break;
-            };
-            let key = reversed_key(tail);
-            if self.exceptions.contains(&key) {
-                // Exception: the suffix is one label shorter than the rule.
-                return take - 1;
+        let mut exception = None;
+        let mut tail = name.as_wire();
+        for take in (1..=n).rev() {
+            let Some(&len) = tail.first() else { break };
+            // Everything but the leftmost label of the candidate tail.
+            let base = tail.get(1 + usize::from(len)..).unwrap_or(&[]);
+            if self.exceptions.contains(tail) {
+                // The shortest matching exception decides.
+                exception = Some(take);
             }
-            if self.rules.contains(&key) {
+            if self.rules.contains(tail) {
                 best = best.max(take);
             }
             // Wildcard `*.<base>`: matches when the base is everything but
             // the leftmost label of the candidate tail.
-            if take >= 2 {
-                if let Some(rest) = tail.get(1..) {
-                    let base = reversed_key(rest);
-                    if self.wildcards.contains(&base) {
-                        best = best.max(take);
-                    }
-                }
+            if take >= 2 && self.wildcards.contains(base) {
+                best = best.max(take);
             }
+            tail = base;
         }
-        best
+        // Exception: the suffix is one label shorter than the rule.
+        exception.map_or(best, |take| take - 1)
     }
 
     /// The registered domain of `name`: public suffix plus one label.
@@ -120,12 +129,6 @@ impl PublicSuffixList {
         }
         name.suffix(want)
     }
-}
-
-fn reverse_dotted(rule: &str) -> String {
-    let mut parts: Vec<&str> = rule.split('.').collect();
-    parts.reverse();
-    parts.join(".")
 }
 
 #[cfg(test)]
@@ -197,5 +200,140 @@ mod tests {
         let psl = psl();
         assert_eq!(psl.registered_domain(&Name::root()), Name::root());
         assert_eq!(psl.registered_domain(&n("com")), n("com"));
+    }
+
+    /// The reversed-string implementation the wire-slice matcher
+    /// replaced, kept as the reference it must agree with.
+    struct ReversedStringPsl {
+        rules: HashSet<String>,
+        wildcards: HashSet<String>,
+        exceptions: HashSet<String>,
+    }
+
+    fn reverse_dotted(rule: &str) -> String {
+        let mut parts: Vec<&str> = rule.split('.').collect();
+        parts.reverse();
+        parts.join(".")
+    }
+
+    fn reversed_key(labels: &[&[u8]]) -> String {
+        let mut parts: Vec<String> = labels
+            .iter()
+            .map(|l| String::from_utf8_lossy(l).into_owned())
+            .collect();
+        parts.reverse();
+        parts.join(".")
+    }
+
+    impl ReversedStringPsl {
+        fn parse(text: &str) -> Self {
+            let mut psl = Self {
+                rules: HashSet::new(),
+                wildcards: HashSet::new(),
+                exceptions: HashSet::new(),
+            };
+            for line in text.lines() {
+                let line = line.trim();
+                if line.is_empty() || line.starts_with("//") {
+                    continue;
+                }
+                if let Some(exc) = line.strip_prefix('!') {
+                    psl.exceptions.insert(reverse_dotted(exc));
+                } else if let Some(wild) = line.strip_prefix("*.") {
+                    psl.wildcards.insert(reverse_dotted(wild));
+                } else {
+                    psl.rules.insert(reverse_dotted(line));
+                }
+            }
+            psl
+        }
+
+        fn suffix_labels(&self, name: &Name) -> usize {
+            let labels: Vec<&[u8]> = name.labels().collect();
+            let n = labels.len();
+            let mut best = 1.min(n);
+            for take in 1..=n {
+                let tail = &labels[n - take..];
+                let key = reversed_key(tail);
+                if self.exceptions.contains(&key) {
+                    return take - 1;
+                }
+                if self.rules.contains(&key) {
+                    best = best.max(take);
+                }
+                if take >= 2 && self.wildcards.contains(&reversed_key(&tail[1..])) {
+                    best = best.max(take);
+                }
+            }
+            best
+        }
+    }
+
+    /// Rules exercising every branch: exact multi-label rules, a rule
+    /// nested under another (`uk` / `co.uk`), a wildcard with an
+    /// exception, and a wildcard whose base is itself a rule.
+    const RULES: &str = "com\nuk\nco.uk\ncom.au\n*.ck\n!www.ck\n*.kawasaki.jp\n\
+                         jp\n!city.kawasaki.jp\n";
+
+    const LABELS: [&str; 11] = [
+        "co", "uk", "ck", "www", "com", "au", "zz", "foo", "kawasaki", "jp", "city",
+    ];
+
+    fn arb_name() -> impl Strategy<Value = Name> {
+        proptest::collection::vec(0usize..LABELS.len(), 0..6)
+            .prop_map(|idx| Name::from_labels(idx.iter().map(|&i| LABELS[i].as_bytes())).unwrap())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn suffix_labels_matches_reversed_string_reference(name in arb_name()) {
+            let fast = PublicSuffixList::parse(RULES);
+            let reference = ReversedStringPsl::parse(RULES);
+            prop_assert_eq!(fast.suffix_labels(&name), reference.suffix_labels(&name));
+            let default = PublicSuffixList::default_list();
+            let default_ref = ReversedStringPsl::parse(
+                "com\nnet\norg\nnl\nbiz\nar\nle\ntest\nco.uk\norg.uk\ncom.au\n*.ck\n!www.ck\n",
+            );
+            prop_assert_eq!(default.suffix_labels(&name), default_ref.suffix_labels(&name));
+        }
+    }
+
+    #[test]
+    fn suffix_labels_matches_reference_on_fixed_cases() {
+        let fast = PublicSuffixList::parse(RULES);
+        let reference = ReversedStringPsl::parse(RULES);
+        for name in [
+            "",
+            "ck",
+            "www.ck",
+            "a.www.ck",
+            "x.ck",
+            "y.x.ck",
+            "co.uk",
+            "a.co.uk",
+            "uk",
+            "zz",
+            "a.zz",
+            "b.a.zz",
+            "city.kawasaki.jp",
+            "x.city.kawasaki.jp",
+            "foo.kawasaki.jp",
+            "a.foo.kawasaki.jp",
+            "kawasaki.jp",
+            "com.au",
+            "x.com.au",
+        ] {
+            let name = n(name);
+            assert_eq!(
+                fast.suffix_labels(&name),
+                reference.suffix_labels(&name),
+                "{name}"
+            );
+        }
+        assert_eq!(fast.len(), 9, "one entry per distinct rule");
     }
 }

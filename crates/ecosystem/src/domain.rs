@@ -1,6 +1,7 @@
 //! Per-domain state and the diversion taxonomy (paper §2).
 
 use crate::ids::{BasketId, DomainId, HosterId, ProviderId, Tld};
+use dps_dns::Name;
 use dps_netsim::Day;
 use serde::{Deserialize, Serialize};
 
@@ -98,15 +99,53 @@ pub struct GroundTruth {
     pub diversion: Diversion,
 }
 
-/// Builds the apex presentation name of domain `id`: `d<id>.<tld>`.
-pub fn domain_label(id: DomainId) -> String {
-    format!("d{}", id.0)
+/// Longest `<prefix><id>` label: one prefix octet plus `u32::MAX`'s ten
+/// digits.
+pub(crate) const ID_LABEL_MAX: usize = 11;
+
+/// Writes `<prefix><n>` (e.g. `d42`, `e42`) into `buf` and returns it:
+/// the per-domain labels of customer apexes and CNAME targets, rendered
+/// without a heap allocation.
+pub(crate) fn id_label(prefix: u8, n: u32, buf: &mut [u8; ID_LABEL_MAX]) -> &str {
+    let mut digits = [0u8; ID_LABEL_MAX - 1];
+    let mut at = digits.len();
+    let mut v = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let len = 1 + digits.len() - at;
+    buf[0] = prefix;
+    buf[1..len].copy_from_slice(&digits[at..]);
+    // Only the ASCII prefix and digits were written.
+    std::str::from_utf8(&buf[..len]).expect("ascii label")
+}
+
+/// The apex name `d<id>.<tld>` of domain `id`, in one allocation.
+pub(crate) fn domain_apex(id: DomainId, tld: Tld) -> Name {
+    let mut buf = [0; ID_LABEL_MAX];
+    let label = id_label(b'd', id.0, &mut buf);
+    Name::from_labels([label.as_bytes(), tld.label().as_bytes()])
+        .expect("generated names are valid")
 }
 
 /// Parses a `d<id>` label back to the id.
 pub fn parse_domain_label(label: &[u8]) -> Option<DomainId> {
-    let (first, digits) = label.split_first()?;
-    if *first != b'd' || digits.is_empty() || digits.len() > 9 {
+    match label.split_first()? {
+        (b'd', digits) => parse_id_digits(digits),
+        _ => None,
+    }
+}
+
+/// Parses the digits of a `d<id>`/`e<id>` label. Only the canonical
+/// rendering is accepted — no leading zero unless the id is exactly 0 —
+/// so every id has exactly one label, the one [`id_label`] writes.
+pub(crate) fn parse_id_digits(digits: &[u8]) -> Option<DomainId> {
+    if digits.is_empty() || digits.len() > 9 || (digits.len() > 1 && digits[0] == b'0') {
         return None;
     }
     let mut v: u32 = 0;
@@ -126,14 +165,52 @@ mod tests {
 
     #[test]
     fn label_roundtrip() {
+        let mut buf = [0; ID_LABEL_MAX];
         for id in [0u32, 7, 123_456, 999_999_999] {
-            let label = domain_label(DomainId(id));
+            let label = id_label(b'd', id, &mut buf);
             assert_eq!(parse_domain_label(label.as_bytes()), Some(DomainId(id)));
         }
         assert_eq!(parse_domain_label(b"x123"), None);
         assert_eq!(parse_domain_label(b"d"), None);
         assert_eq!(parse_domain_label(b"d12a"), None);
         assert_eq!(parse_domain_label(b"d9999999999"), None);
+    }
+
+    /// Zero-padded labels name no domain: `d00` is not `d0`, and `d01`
+    /// is not `d1`.
+    #[test]
+    fn only_canonical_labels_parse() {
+        assert_eq!(parse_domain_label(b"d0"), Some(DomainId(0)));
+        assert_eq!(parse_domain_label(b"d10"), Some(DomainId(10)));
+        for padded in [&b"d00"[..], b"d01", b"d0123", b"d000000001"] {
+            assert_eq!(parse_domain_label(padded), None, "{padded:?}");
+        }
+        assert_eq!(parse_id_digits(b"0"), Some(DomainId(0)));
+        assert_eq!(parse_id_digits(b"07"), None);
+        assert_eq!(parse_id_digits(b""), None);
+    }
+
+    #[test]
+    fn id_label_writes_every_width() {
+        let mut buf = [0; ID_LABEL_MAX];
+        for n in [0u32, 9, 10, 99, 100, 123_456, 999_999_999, u32::MAX] {
+            assert_eq!(id_label(b'd', n, &mut buf), format!("d{n}"));
+            assert_eq!(id_label(b'e', n, &mut buf), format!("e{n}"));
+        }
+    }
+
+    /// The stack-buffer apex equals the `format!` + parse route it
+    /// replaced, for edge ids and a sample of real ones, in every TLD.
+    #[test]
+    fn domain_apex_matches_formatted_parse() {
+        let mut ids = vec![0u32, 9, 10, u32::MAX];
+        ids.extend((0..200).map(|i| i * 7919 + 3));
+        for tld in [Tld::Com, Tld::Net, Tld::Org, Tld::Nl, Tld::Biz] {
+            for &id in &ids {
+                let expected: Name = format!("d{id}.{}", tld.label()).parse().unwrap();
+                assert_eq!(domain_apex(DomainId(id), tld), expected);
+            }
+        }
     }
 
     #[test]

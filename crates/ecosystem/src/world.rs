@@ -3,7 +3,10 @@
 //! materialise itself into real zones + servers on the simulated network
 //! (wire path) for full-fidelity runs.
 
-use crate::domain::{domain_label, parse_domain_label, Diversion, DomainState, GroundTruth};
+use crate::domain::{
+    domain_apex, id_label, parse_domain_label, parse_id_digits, Diversion, DomainState,
+    GroundTruth, ID_LABEL_MAX,
+};
 use crate::ids::{DomainId, HosterId, ProviderId, Tld};
 use crate::scenario::{AlexaEntry, BasketAddressing, BasketInfo, Scenario, ScenarioParams};
 use crate::schedule::{Action, Schedule};
@@ -75,6 +78,89 @@ pub struct World {
     /// repeated zone transfers and sweep shards don't re-collect the
     /// whole domain table on every call.
     entry_cache: Mutex<EntryCache>,
+    /// Names the answer model is built from, parsed once.
+    names: AnswerNames,
+}
+
+/// The fixed names the answer model derives every answer from, parsed
+/// once in [`World::new`] so a query never formats and re-parses a name.
+/// Each is still defined in one place: NS hosts by
+/// [`World::provider_ns_host`]/[`World::hoster_ns_host`], SLDs by the
+/// provider and hoster specs.
+struct AnswerNames {
+    /// Every NS host `(name, address)` of each provider, `k` in
+    /// `0..provider_ns_host_count` (empty for providers selling no DNS).
+    provider_ns: Vec<Vec<(Name, IpAddr)>>,
+    /// The two NS hosts of each hoster.
+    hoster_ns: Vec<Vec<(Name, IpAddr)>>,
+    /// Parent of each provider's `d<id>` CNAME targets (its first CNAME
+    /// SLD); `None` for providers without a CNAME product.
+    cname_parent: Vec<Option<Name>>,
+    /// Akamai's `(first hop, second hop)` parents: `edgekey.net` →
+    /// `akamaiedge.net` for even ids, `edgesuite.net` → `akamai.net` for
+    /// odd ones.
+    akamai_hops: [(Name, Name); 2],
+    /// `compute.amazonaws.com.`: parent of Wix-style `www` aliases.
+    compute: Name,
+    /// Infra SLD wire form → its first index in [`World::infra`].
+    infra_index: BTreeMap<Vec<u8>, usize>,
+}
+
+impl AnswerNames {
+    fn new(infra: &[InfraDomain]) -> Self {
+        let parse = |s: &str| -> Name { s.parse().expect("valid name") };
+        let provider_ns = (0..PROVIDERS.len())
+            .map(|i| {
+                let p = ProviderId(i as u8);
+                if PROVIDERS[i].ns_labels.is_empty() {
+                    return Vec::new();
+                }
+                (0..World::provider_ns_host_count(p))
+                    .map(|k| World::provider_ns_host(p, k))
+                    .collect()
+            })
+            .collect();
+        let hoster_ns = (0..HOSTERS.len())
+            .map(|h| {
+                (0..2)
+                    .map(|k| World::hoster_ns_host(HosterId(h as u8), k))
+                    .collect()
+            })
+            .collect();
+        let cname_parent = PROVIDERS
+            .iter()
+            .map(|p| p.cname_slds.first().map(|s| parse(s)))
+            .collect();
+        let mut infra_index = BTreeMap::new();
+        for (i, inf) in infra.iter().enumerate() {
+            infra_index.entry(inf.sld.as_wire().to_vec()).or_insert(i);
+        }
+        Self {
+            provider_ns,
+            hoster_ns,
+            cname_parent,
+            akamai_hops: [
+                (parse("edgekey.net"), parse("akamaiedge.net")),
+                (parse("edgesuite.net"), parse("akamai.net")),
+            ],
+            compute: parse("compute.amazonaws.com"),
+            infra_index,
+        }
+    }
+}
+
+/// The host name `<label>.<sld>` from dotted spec strings (`kate.ns` +
+/// `cloudflare.com`).
+fn host_name(parts: [&str; 2]) -> Name {
+    Name::from_labels(parts.iter().flat_map(|p| p.split('.')).map(str::as_bytes))
+        .expect("valid host")
+}
+
+/// `<prefix><id>.<parent>` (e.g. `d42.edgekey.net`) in one allocation.
+fn id_name(prefix: u8, id: DomainId, parent: &Name) -> Name {
+    parent
+        .prepend(id_label(prefix, id.0, &mut [0; ID_LABEL_MAX]))
+        .expect("generated names are valid")
 }
 
 impl World {
@@ -126,6 +212,7 @@ impl World {
             });
         }
 
+        let names = AnswerNames::new(&infra);
         let mut world = Self {
             params: scenario.params,
             day: Day(0),
@@ -137,6 +224,7 @@ impl World {
             infra,
             alexa: scenario.alexa,
             entry_cache: Mutex::new(EntryCache::default()),
+            names,
         };
         world.apply_through(Day(0));
         world
@@ -312,20 +400,17 @@ impl World {
         let _ = writeln!(out, "; {} zone, day {}", tld.label(), self.day);
         for entry in self.zone_entry_iter(tld) {
             let apex = self.entry_name(entry);
-            let hosts: Vec<Name> = match entry {
+            match entry {
                 ZoneEntry::Domain(id) => {
-                    let st = &self.domains[id.0 as usize];
-                    self.ns_hosts(id, st)
-                }
-                ZoneEntry::Infra(i) => match self.infra[i].owner {
-                    InfraOwner::Provider(p) => {
-                        (0..2).map(|k| Self::provider_ns_host(p, k).0).collect()
+                    for host in self.ns_hosts(id, &self.domains[id.0 as usize]) {
+                        let _ = writeln!(out, "{apex} IN NS {host}");
                     }
-                    InfraOwner::Hoster(h) => (0..2).map(|k| Self::hoster_ns_host(h, k).0).collect(),
-                },
-            };
-            for host in hosts {
-                let _ = writeln!(out, "{apex} IN NS {host}");
+                }
+                ZoneEntry::Infra(i) => {
+                    for (host, _) in self.owner_ns_hosts(self.infra[i].owner).iter().take(2) {
+                        let _ = writeln!(out, "{apex} IN NS {host}");
+                    }
+                }
             }
         }
         out
@@ -341,10 +426,7 @@ impl World {
 
     /// `d<id>.<tld>`.
     pub fn domain_name(&self, id: DomainId) -> Name {
-        let st = &self.domains[id.0 as usize];
-        let label = domain_label(id);
-        Name::from_labels([label.as_bytes(), st.tld.label().as_bytes()])
-            .expect("generated names are valid")
+        domain_apex(id, self.domains[id.0 as usize].tld)
     }
 
     /// Ground truth for a domain **today**.
@@ -380,17 +462,14 @@ impl World {
         assert!(!s.ns_labels.is_empty(), "{} sells no DNS service", s.name);
         let label = s.ns_labels[k % s.ns_labels.len()];
         let sld = s.ns_slds[k % s.ns_slds.len()];
-        let name: Name = format!("{label}.{sld}").parse().expect("valid host");
-        (name, spec::provider_ns_ip(p, k))
+        (host_name([label, sld]), spec::provider_ns_ip(p, k))
     }
 
     /// The `k`-th name-server host `(name, address)` of a hoster.
     pub fn hoster_ns_host(h: HosterId, k: usize) -> (Name, IpAddr) {
         let s = Self::hoster_spec(h);
-        let name: Name = format!("ns{}.{}", k + 1, s.ns_sld)
-            .parse()
-            .expect("valid host");
-        (name, spec::hoster_ns_ip(h, k))
+        let label = format!("ns{}", k + 1);
+        (host_name([&label, s.ns_sld]), spec::hoster_ns_ip(h, k))
     }
 
     /// Number of distinct NS hosts a provider runs (enough to rotate
@@ -400,24 +479,28 @@ impl World {
         s.ns_labels.len().max(s.ns_slds.len()).max(2)
     }
 
-    /// The two NS host names of a domain, given its current state.
-    fn ns_hosts(&self, id: DomainId, st: &DomainState) -> Vec<Name> {
-        match st.diversion {
-            Diversion::NsDelegation(p) | Diversion::NsOnly(p) => {
-                let count = Self::provider_ns_host_count(p);
-                let a = id.0 as usize % count;
-                let b = (id.0 as usize + 1) % count;
-                let mut v = vec![Self::provider_ns_host(p, a).0];
-                if b != a {
-                    v.push(Self::provider_ns_host(p, b).0);
-                }
-                v
-            }
-            _ => {
-                let h = st.hoster;
-                vec![Self::hoster_ns_host(h, 0).0, Self::hoster_ns_host(h, 1).0]
-            }
+    /// Every NS host `(name, address)` of an infrastructure owner, from
+    /// the table built once in [`World::new`].
+    fn owner_ns_hosts(&self, owner: InfraOwner) -> &[(Name, IpAddr)] {
+        match owner {
+            InfraOwner::Provider(p) => &self.names.provider_ns[p.0 as usize],
+            InfraOwner::Hoster(h) => &self.names.hoster_ns[h.0 as usize],
         }
+    }
+
+    /// The NS host names of a domain (two, or one when a provider runs a
+    /// single host), given its current state.
+    fn ns_hosts(&self, id: DomainId, st: &DomainState) -> impl Iterator<Item = &Name> {
+        let (hosts, a, b) = match st.diversion {
+            Diversion::NsDelegation(p) | Diversion::NsOnly(p) => {
+                let hosts = self.owner_ns_hosts(InfraOwner::Provider(p));
+                let count = hosts.len();
+                (hosts, id.0 as usize % count, (id.0 as usize + 1) % count)
+            }
+            _ => (self.owner_ns_hosts(InfraOwner::Hoster(st.hoster)), 0, 1),
+        };
+        let second = (b != a).then(|| &hosts[b].0);
+        std::iter::once(&hosts[a].0).chain(second)
     }
 
     /// The apex IPv4 address of a domain, given its current state.
@@ -458,37 +541,28 @@ impl World {
         }
     }
 
-    /// The CNAME hops of `www.<domain>`, if it is an alias.
-    fn www_chain(&self, id: DomainId, st: &DomainState) -> Vec<Name> {
+    /// The CNAME hops of `www.<domain>`, if it is an alias: the first
+    /// hop, and the second one for Akamai's double indirection.
+    fn www_chain(&self, id: DomainId, st: &DomainState) -> Option<(Name, Option<Name>)> {
         match st.diversion {
+            Diversion::Cname(p) if p == pid::AKAMAI => {
+                // Akamai-style double indirection, in two flavours:
+                // www.x → dN.edgekey.net   → eN.akamaiedge.net → A
+                // www.x → dN.edgesuite.net → eN.akamai.net     → A
+                let (hop1, hop2) = &self.names.akamai_hops[id.0 as usize % 2];
+                Some((id_name(b'd', id, hop1), Some(id_name(b'e', id, hop2))))
+            }
             Diversion::Cname(p) => {
-                let s = Self::provider_spec(p);
-                if p == pid::AKAMAI {
-                    // Akamai-style double indirection, in two flavours:
-                    // www.x → dN.edgekey.net   → eN.akamaiedge.net → A
-                    // www.x → dN.edgesuite.net → eN.akamai.net     → A
-                    let (hop1, hop2) = if id.0 % 2 == 0 {
-                        ("edgekey.net", "akamaiedge.net")
-                    } else {
-                        ("edgesuite.net", "akamai.net")
-                    };
-                    vec![
-                        format!("d{}.{hop1}", id.0).parse().expect("valid"),
-                        format!("e{}.{hop2}", id.0).parse().expect("valid"),
-                    ]
-                } else {
-                    vec![format!("d{}.{}", id.0, s.cname_slds[0])
-                        .parse()
-                        .expect("valid")]
-                }
+                let parent = self.names.cname_parent[p.0 as usize]
+                    .as_ref()
+                    .expect("CNAME provider has a CNAME SLD");
+                Some((id_name(b'd', id, parent), None))
             }
+            // Wix-style: the site lives on a cloud (AWS).
             Diversion::None if st.www_cname_to_hoster => {
-                // Wix-style: the site lives on a cloud (AWS).
-                vec![format!("d{}.compute.amazonaws.com", id.0)
-                    .parse()
-                    .expect("valid")]
+                Some((id_name(b'd', id, &self.names.compute), None))
             }
-            _ => Vec::new(),
+            _ => None,
         }
     }
 
@@ -516,55 +590,85 @@ impl World {
     }
 
     /// Core answering logic; appends records and returns the final rcode.
+    ///
+    /// Walks the qname's labels in place and owns every answer by the
+    /// qname itself (or by a CNAME target), so answering builds no name
+    /// it does not return.
     fn answer_into(
         &self,
         qname: &Name,
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
-        let labels: Vec<&[u8]> = qname.labels().collect();
-        if labels.is_empty() {
+        let mut labels = qname.labels();
+        let Some(first) = labels.next() else {
             return Ok(Rcode::NxDomain);
+        };
+        // The last two labels, and how many sit below them.
+        let (mut sld_label, mut tld_label, mut count) = (None, first, 1usize);
+        for label in labels {
+            sld_label = Some(tld_label);
+            tld_label = label;
+            count += 1;
         }
-        let tld = match std::str::from_utf8(labels[labels.len() - 1])
+        let tld = match std::str::from_utf8(tld_label)
             .ok()
             .and_then(Tld::from_label)
         {
             Some(t) => t,
             None => return Ok(Rcode::NxDomain),
         };
-        if labels.len() == 1 {
+        let Some(sld_label) = sld_label else {
             // Query for the TLD apex itself: not a studied case; NODATA.
             return Ok(Rcode::NoError);
-        }
-        let sld_label = labels[labels.len() - 2];
+        };
+        let q = Query {
+            name: qname,
+            first,
+            sub: count - 2,
+            qtype,
+        };
 
-        // Customer domain?
+        // Customer domain? `d<id>` parses only in canonical form, so the
+        // qname is exactly `domain_name(id)` (or a name below it).
         if let Some(id) = parse_domain_label(sld_label) {
             if (id.0 as usize) < self.domains.len() && self.domains[id.0 as usize].tld == tld {
-                return self.answer_domain(id, &labels[..labels.len() - 2], qtype, answers);
+                return self.answer_domain(id, &q, answers);
             }
             return Ok(Rcode::NxDomain);
         }
 
         // Infrastructure SLD?
-        let sld_str = String::from_utf8_lossy(sld_label);
-        let full = format!("{sld_str}.{}", tld.label());
-        if let Some(idx) = self
-            .infra
-            .iter()
-            .position(|i| i.sld.to_string().trim_end_matches('.') == full)
-        {
-            return self.answer_infra(idx, &labels[..labels.len() - 2], qtype, answers);
+        if let Some(&idx) = self.names.infra_index.get(qname.suffix_wire(2)) {
+            return self.answer_infra(idx, &q, answers);
         }
         Ok(Rcode::NxDomain)
+    }
+
+    /// The apex address records (A or AAAA) of a domain, owned by `owner`.
+    fn push_address(
+        &self,
+        answers: &mut Vec<Record>,
+        owner: Name,
+        id: DomainId,
+        st: &DomainState,
+        qtype: RrType,
+    ) {
+        match qtype {
+            RrType::A => push(answers, owner, RData::A(self.apex_v4(id, st))),
+            RrType::Aaaa => {
+                if let Some(v6) = self.apex_v6(id, st) {
+                    push(answers, owner, RData::Aaaa(v6));
+                }
+            }
+            _ => {}
+        }
     }
 
     fn answer_domain(
         &self,
         id: DomainId,
-        sub: &[&[u8]],
-        qtype: RrType,
+        q: &Query<'_>,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
         let st = &self.domains[id.0 as usize];
@@ -574,65 +678,37 @@ impl World {
         if self.basket_outage(st) {
             return Err(ResolveError::ServerFailure(Rcode::ServFail));
         }
-        let apex = self.domain_name(id);
-        match sub {
-            [] => match qtype {
-                RrType::A => {
-                    push(answers, &apex, RData::A(self.apex_v4(id, st)));
-                    Ok(Rcode::NoError)
-                }
-                RrType::Aaaa => {
-                    if let Some(v6) = self.apex_v6(id, st) {
-                        push(answers, &apex, RData::Aaaa(v6));
-                    }
-                    Ok(Rcode::NoError)
-                }
-                RrType::Ns => {
+        match q.sub {
+            0 => {
+                if q.qtype == RrType::Ns {
                     for h in self.ns_hosts(id, st) {
-                        push(answers, &apex, RData::Ns(h));
+                        push(answers, q.name.clone(), RData::Ns(h.clone()));
                     }
-                    Ok(Rcode::NoError)
+                } else {
+                    self.push_address(answers, q.name.clone(), id, st, q.qtype);
                 }
-                _ => Ok(Rcode::NoError),
-            },
-            [www] if *www == b"www" => {
-                let www_name = apex.prepend("www").expect("short label");
-                let chain = self.www_chain(id, st);
-                if chain.is_empty() {
+                Ok(Rcode::NoError)
+            }
+            1 if q.first == b"www" => {
+                let Some((hop1, hop2)) = self.www_chain(id, st) else {
                     // Same answers as the apex, owned by www.
-                    return match qtype {
-                        RrType::A => {
-                            push(answers, &www_name, RData::A(self.apex_v4(id, st)));
-                            Ok(Rcode::NoError)
-                        }
-                        RrType::Aaaa => {
-                            if let Some(v6) = self.apex_v6(id, st) {
-                                push(answers, &www_name, RData::Aaaa(v6));
-                            }
-                            Ok(Rcode::NoError)
-                        }
-                        _ => Ok(Rcode::NoError),
-                    };
-                }
-                if qtype == RrType::Cname {
-                    push(answers, &www_name, RData::Cname(chain[0].clone()));
+                    self.push_address(answers, q.name.clone(), id, st, q.qtype);
+                    return Ok(Rcode::NoError);
+                };
+                if q.qtype == RrType::Cname {
+                    push(answers, q.name.clone(), RData::Cname(hop1));
                     return Ok(Rcode::NoError);
                 }
                 // Emit the chain, then the terminal records.
-                let mut owner = www_name;
-                for hop in &chain {
-                    push(answers, &owner, RData::Cname(hop.clone()));
-                    owner = hop.clone();
-                }
-                match qtype {
-                    RrType::A => push(answers, &owner, RData::A(self.apex_v4(id, st))),
-                    RrType::Aaaa => {
-                        if let Some(v6) = self.apex_v6(id, st) {
-                            push(answers, &owner, RData::Aaaa(v6));
-                        }
+                push(answers, q.name.clone(), RData::Cname(hop1.clone()));
+                let terminal = match hop2 {
+                    Some(hop2) => {
+                        push(answers, hop1, RData::Cname(hop2.clone()));
+                        hop2
                     }
-                    _ => {}
-                }
+                    None => hop1,
+                };
+                self.push_address(answers, terminal, id, st, q.qtype);
                 Ok(Rcode::NoError)
             }
             _ => Ok(Rcode::NxDomain),
@@ -642,131 +718,87 @@ impl World {
     fn answer_infra(
         &self,
         idx: usize,
-        sub: &[&[u8]],
-        qtype: RrType,
+        q: &Query<'_>,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
         let inf = &self.infra[idx];
-        let apex = inf.sld.clone();
         let web_ip = match inf.owner {
             InfraOwner::Provider(p) => spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
             InfraOwner::Hoster(h) => spec::hoster_prefix(h).nth_v4(8).expect("room"),
         };
-        let ns_hosts: Vec<(Name, IpAddr)> = match inf.owner {
-            InfraOwner::Provider(p) => (0..Self::provider_ns_host_count(p))
-                .map(|k| Self::provider_ns_host(p, k))
-                .collect(),
-            InfraOwner::Hoster(h) => (0..2).map(|k| Self::hoster_ns_host(h, k)).collect(),
-        };
+        let ns_hosts = self.owner_ns_hosts(inf.owner);
 
-        match sub {
-            [] => match qtype {
-                RrType::A => {
-                    push(answers, &apex, RData::A(web_ip));
-                    Ok(Rcode::NoError)
-                }
-                RrType::Ns => {
-                    for (h, _) in &ns_hosts {
-                        push(answers, &apex, RData::Ns(h.clone()));
+        match q.sub {
+            0 => {
+                match q.qtype {
+                    RrType::A => push(answers, q.name.clone(), RData::A(web_ip)),
+                    RrType::Ns => {
+                        for (h, _) in ns_hosts {
+                            push(answers, q.name.clone(), RData::Ns(h.clone()));
+                        }
                     }
-                    Ok(Rcode::NoError)
-                }
-                _ => Ok(Rcode::NoError),
-            },
-            [www] if *www == b"www" => {
-                if qtype == RrType::A {
-                    let www_name = apex.prepend("www").expect("short");
-                    push(answers, &www_name, RData::A(web_ip));
+                    _ => {}
                 }
                 Ok(Rcode::NoError)
             }
-            sub => {
-                // NS hosts, CNAME targets (dN.<sld> / eN.<sld>), and the
-                // AWS compute names (dN.compute.amazonaws.com).
-                let owner = {
-                    let mut v: Vec<&[u8]> = sub.to_vec();
-                    v.extend(apex.labels());
-                    Name::from_labels(v).expect("valid")
-                };
+            1 if q.first == b"www" => {
+                if q.qtype == RrType::A {
+                    push(answers, q.name.clone(), RData::A(web_ip));
+                }
+                Ok(Rcode::NoError)
+            }
+            _ => {
                 // A name-server host?
-                if let Some((_, ip)) = ns_hosts.iter().find(|(h, _)| *h == owner) {
-                    if qtype == RrType::A {
-                        if let IpAddr::V4(v4) = ip {
-                            push(answers, &owner, RData::A(*v4));
-                        }
+                if let Some((_, ip)) = ns_hosts.iter().find(|(h, _)| h == q.name) {
+                    if let (RrType::A, IpAddr::V4(v4)) = (q.qtype, ip) {
+                        push(answers, q.name.clone(), RData::A(*v4));
                     }
                     return Ok(Rcode::NoError);
                 }
-                // Provider ns hosts beyond the first two (e.g. CloudFlare's
-                // many named servers).
-                if let InfraOwner::Provider(p) = inf.owner {
-                    for k in 0..Self::provider_ns_host_count(p) {
-                        let (h, ip) = Self::provider_ns_host(p, k);
-                        if h == owner {
-                            if qtype == RrType::A {
-                                if let IpAddr::V4(v4) = ip {
-                                    push(answers, &owner, RData::A(v4));
-                                }
-                            }
-                            return Ok(Rcode::NoError);
-                        }
-                    }
+                // CNAME targets (dN.<sld>), Akamai second hops (eN.<sld>)
+                // and AWS compute names (dN.compute.amazonaws.com).
+                let first = q.first;
+                let Some(id) = parse_domain_label(first)
+                    .or_else(|| first.strip_prefix(b"e").and_then(parse_id_digits))
+                else {
+                    return Ok(Rcode::NxDomain);
+                };
+                if (id.0 as usize) >= self.domains.len() {
+                    return Ok(Rcode::NxDomain);
                 }
-                // CNAME-target / compute names carry a dN/eN first label.
-                let first = sub[sub.len() - 1];
-                let first = if sub.len() > 1 { sub[0] } else { first };
-                if let Some(id) = parse_domain_label(first).or_else(|| {
-                    // eN.<sld> second-hop names.
-                    first.strip_prefix(b"e").and_then(|digits| {
-                        let mut buf = vec![b'd'];
-                        buf.extend_from_slice(digits);
-                        parse_domain_label(&buf)
-                    })
-                }) {
-                    if (id.0 as usize) < self.domains.len() {
-                        let st = &self.domains[id.0 as usize];
-                        // Akamai first hop chains to the second hop.
-                        let second_hop = match inf.sld.to_string().as_str() {
-                            "edgekey.net." => Some("akamaiedge.net"),
-                            "edgesuite.net." => Some("akamai.net"),
-                            _ => None,
-                        };
-                        if let (Some(hop2), true, true) =
-                            (second_hop, first.starts_with(b"d"), qtype != RrType::Cname)
-                        {
-                            let next: Name = format!("e{}.{hop2}", id.0).parse().expect("valid");
-                            push(answers, &owner, RData::Cname(next.clone()));
-                            match qtype {
-                                RrType::A => push(answers, &next, RData::A(self.apex_v4(id, st))),
-                                RrType::Aaaa => {
-                                    if let Some(v6) = self.apex_v6(id, st) {
-                                        push(answers, &next, RData::Aaaa(v6));
-                                    }
-                                }
-                                _ => {}
-                            }
-                            return Ok(Rcode::NoError);
-                        }
-                        match qtype {
-                            RrType::A => push(answers, &owner, RData::A(self.apex_v4(id, st))),
-                            RrType::Aaaa => {
-                                if let Some(v6) = self.apex_v6(id, st) {
-                                    push(answers, &owner, RData::Aaaa(v6));
-                                }
-                            }
-                            _ => {}
-                        }
-                        return Ok(Rcode::NoError);
+                let st = &self.domains[id.0 as usize];
+                // Akamai first hop chains to the second hop.
+                let second_hop = self
+                    .names
+                    .akamai_hops
+                    .iter()
+                    .find(|(hop1, _)| *hop1 == inf.sld)
+                    .map(|(_, hop2)| hop2);
+                match second_hop {
+                    Some(hop2) if first.starts_with(b"d") && q.qtype != RrType::Cname => {
+                        let next = id_name(b'e', id, hop2);
+                        push(answers, q.name.clone(), RData::Cname(next.clone()));
+                        self.push_address(answers, next, id, st, q.qtype);
                     }
+                    _ => self.push_address(answers, q.name.clone(), id, st, q.qtype),
                 }
-                Ok(Rcode::NxDomain)
+                Ok(Rcode::NoError)
             }
         }
     }
 }
 
-fn push(answers: &mut Vec<Record>, owner: &Name, rdata: RData) {
-    answers.push(Record::new(owner.clone(), Class::In, TTL, rdata));
+/// A query as the answer model sees it: the qname, its first label, and
+/// how many labels sit below its registered (second-level) domain.
+struct Query<'q> {
+    name: &'q Name,
+    first: &'q [u8],
+    sub: usize,
+    qtype: RrType,
+}
+
+fn push(answers: &mut Vec<Record>, owner: Name, rdata: RData) {
+    answers.push(Record::new(owner, Class::In, TTL, rdata));
 }
 
 // ---------------------------------------------------------------------------
@@ -808,24 +840,20 @@ impl World {
         // Infrastructure zones.
         for inf in &self.infra {
             let mut z = Zone::new(inf.sld.clone());
-            let (srv, ns_hosts, web_ip): (&Arc<AuthServer>, Vec<(Name, IpAddr)>, Ipv4Addr) =
-                match inf.owner {
-                    InfraOwner::Provider(p) => (
-                        &provider_srv[p.0 as usize],
-                        (0..Self::provider_ns_host_count(p))
-                            .map(|k| Self::provider_ns_host(p, k))
-                            .collect(),
-                        spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
-                    ),
-                    InfraOwner::Hoster(h) => (
-                        &hoster_srv[h.0 as usize],
-                        (0..2).map(|k| Self::hoster_ns_host(h, k)).collect(),
-                        spec::hoster_prefix(h).nth_v4(8).expect("room"),
-                    ),
-                };
+            let (srv, web_ip): (&Arc<AuthServer>, Ipv4Addr) = match inf.owner {
+                InfraOwner::Provider(p) => (
+                    &provider_srv[p.0 as usize],
+                    spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
+                ),
+                InfraOwner::Hoster(h) => (
+                    &hoster_srv[h.0 as usize],
+                    spec::hoster_prefix(h).nth_v4(8).expect("room"),
+                ),
+            };
+            let ns_hosts = self.owner_ns_hosts(inf.owner);
             z.add(inf.sld.clone(), RData::A(web_ip));
             z.add(inf.sld.prepend("www").expect("short"), RData::A(web_ip));
-            for (h, ip) in &ns_hosts {
+            for (h, ip) in ns_hosts {
                 z.add(inf.sld.clone(), RData::Ns(h.clone()));
                 if h.is_subdomain_of(&inf.sld) {
                     if let IpAddr::V4(v4) = ip {
@@ -839,23 +867,23 @@ impl World {
                 if !st.alive_on(self.day) {
                     continue;
                 }
-                let chain = self.www_chain(id, st);
-                for (hop_idx, hop) in chain.iter().enumerate() {
-                    if hop.is_subdomain_of(&inf.sld) {
-                        if hop_idx + 1 < chain.len() {
-                            z.add(hop.clone(), RData::Cname(chain[hop_idx + 1].clone()));
-                        } else {
-                            z.add(hop.clone(), RData::A(self.apex_v4(id, st)));
-                            if let Some(v6) = self.apex_v6(id, st) {
-                                z.add(hop.clone(), RData::Aaaa(v6));
-                            }
-                        }
+                let Some((hop1, hop2)) = self.www_chain(id, st) else {
+                    continue;
+                };
+                if hop1.is_subdomain_of(&inf.sld) {
+                    if let Some(hop2) = &hop2 {
+                        z.add(hop1, RData::Cname(hop2.clone()));
+                    } else {
+                        self.add_address(&mut z, hop1, id, st);
                     }
+                }
+                if let Some(hop2) = hop2.filter(|h| h.is_subdomain_of(&inf.sld)) {
+                    self.add_address(&mut z, hop2, id, st);
                 }
             }
             // Delegation from the TLD + in-TLD glue.
             let tz = tld_zones.get_mut(&inf.tld).expect("tld exists");
-            for (h, ip) in &ns_hosts {
+            for (h, ip) in ns_hosts {
                 tz.add(inf.sld.clone(), RData::Ns(h.clone()));
                 if let (IpAddr::V4(v4), true) = (ip, ends_in_tld(h, inf.tld)) {
                     tz.add(h.clone(), RData::A(*v4));
@@ -873,27 +901,18 @@ impl World {
             }
             let apex = self.domain_name(id);
             let mut z = Zone::new(apex.clone());
-            z.add(apex.clone(), RData::A(self.apex_v4(id, st)));
-            if let Some(v6) = self.apex_v6(id, st) {
-                z.add(apex.clone(), RData::Aaaa(v6));
-            }
+            self.add_address(&mut z, apex.clone(), id, st);
             let www = apex.prepend("www").expect("short");
-            let chain = self.www_chain(id, st);
-            if let Some(first) = chain.first() {
-                z.add(www, RData::Cname(first.clone()));
-            } else {
-                z.add(www.clone(), RData::A(self.apex_v4(id, st)));
-                if let Some(v6) = self.apex_v6(id, st) {
-                    z.add(www, RData::Aaaa(v6));
-                }
+            match self.www_chain(id, st) {
+                Some((first, _)) => z.add(www, RData::Cname(first)),
+                None => self.add_address(&mut z, www, id, st),
             }
-            let hosts = self.ns_hosts(id, st);
-            for h in &hosts {
+            for h in self.ns_hosts(id, st) {
                 z.add(apex.clone(), RData::Ns(h.clone()));
             }
             // Delegation in the TLD zone.
             let tz = tld_zones.get_mut(&st.tld).expect("tld exists");
-            for h in &hosts {
+            for h in self.ns_hosts(id, st) {
                 tz.add(apex.clone(), RData::Ns(h.clone()));
             }
             let handle = catalog.add_zone(z, vec![]);
@@ -914,22 +933,27 @@ impl World {
             srv.serve_zone(catalog.add_zone(z, vec![spec::tld_server_addr(tld)]));
             srv.bind(net, spec::tld_server_addr(tld));
         }
-        for (p, srv) in provider_srv.iter().enumerate() {
-            let p = ProviderId(p as u8);
-            if PROVIDERS[p.0 as usize].ns_labels.is_empty() {
-                continue;
-            }
-            for k in 0..Self::provider_ns_host_count(p) {
-                srv.bind(net, Self::provider_ns_host(p, k).1);
+        for (srv, hosts) in provider_srv.iter().zip(&self.names.provider_ns) {
+            for &(_, ip) in hosts {
+                srv.bind(net, ip);
             }
         }
-        for (h, srv) in hoster_srv.iter().enumerate() {
-            for k in 0..2 {
-                srv.bind(net, Self::hoster_ns_host(HosterId(h as u8), k).1);
+        for (srv, hosts) in hoster_srv.iter().zip(&self.names.hoster_ns) {
+            for &(_, ip) in hosts {
+                srv.bind(net, ip);
             }
         }
         catalog.set_root_hints(vec![spec::root_server_addr()]);
         catalog
+    }
+
+    /// Adds a domain's apex address records (A, plus AAAA when it has
+    /// one) to `z`, owned by `owner`.
+    fn add_address(&self, z: &mut Zone, owner: Name, id: DomainId, st: &DomainState) {
+        z.add(owner.clone(), RData::A(self.apex_v4(id, st)));
+        if let Some(v6) = self.apex_v6(id, st) {
+            z.add(owner, RData::Aaaa(v6));
+        }
     }
 }
 
@@ -1240,6 +1264,96 @@ mod tests {
         expected.sort();
         let parsed: Vec<String> = parsed.into_iter().map(|n| n.to_string()).collect();
         assert_eq!(parsed, expected);
+    }
+
+    /// The NS table built in `World::new` holds exactly the hosts
+    /// `provider_ns_host`/`hoster_ns_host` define, in `k` order.
+    #[test]
+    fn ns_table_matches_host_definitions() {
+        let w = tiny_world();
+        for (i, spec_) in PROVIDERS.iter().enumerate() {
+            let p = ProviderId(i as u8);
+            let table = w.owner_ns_hosts(InfraOwner::Provider(p));
+            if spec_.ns_labels.is_empty() {
+                assert!(table.is_empty(), "{}", spec_.name);
+                continue;
+            }
+            assert_eq!(table.len(), World::provider_ns_host_count(p));
+            for (k, host) in table.iter().enumerate() {
+                assert_eq!(*host, World::provider_ns_host(p, k), "{} k={k}", spec_.name);
+                let label = spec_.ns_labels[k % spec_.ns_labels.len()];
+                let sld = spec_.ns_slds[k % spec_.ns_slds.len()];
+                let formatted: Name = format!("{label}.{sld}").parse().unwrap();
+                assert_eq!(host.0, formatted);
+            }
+        }
+        for (i, spec_) in HOSTERS.iter().enumerate() {
+            let h = HosterId(i as u8);
+            let table = w.owner_ns_hosts(InfraOwner::Hoster(h));
+            let expected: Vec<_> = (0..2).map(|k| World::hoster_ns_host(h, k)).collect();
+            assert_eq!(table, expected.as_slice());
+            for (k, (host, _)) in table.iter().enumerate() {
+                let formatted: Name = format!("ns{}.{}", k + 1, spec_.ns_sld).parse().unwrap();
+                assert_eq!(*host, formatted);
+            }
+        }
+    }
+
+    /// Customer apexes and `www` CNAME hops equal the `format!` + parse
+    /// names they replaced, for every domain of a real world.
+    #[test]
+    fn generated_names_match_formatted_parse() {
+        let w = tiny_world();
+        for (i, st) in w.domains().iter().enumerate() {
+            let id = DomainId(i as u32);
+            let expected: Name = format!("d{i}.{}", st.tld.label()).parse().unwrap();
+            assert_eq!(w.domain_name(id), expected);
+            let expected_chain: Vec<Name> = match st.diversion {
+                Diversion::Cname(p) if p == pid::AKAMAI => {
+                    let (a, b) = if i % 2 == 0 {
+                        ("edgekey.net", "akamaiedge.net")
+                    } else {
+                        ("edgesuite.net", "akamai.net")
+                    };
+                    vec![
+                        format!("d{i}.{a}").parse().unwrap(),
+                        format!("e{i}.{b}").parse().unwrap(),
+                    ]
+                }
+                Diversion::Cname(p) => {
+                    let sld = PROVIDERS[p.0 as usize].cname_slds[0];
+                    vec![format!("d{i}.{sld}").parse().unwrap()]
+                }
+                Diversion::None if st.www_cname_to_hoster => {
+                    vec![format!("d{i}.compute.amazonaws.com").parse().unwrap()]
+                }
+                _ => Vec::new(),
+            };
+            let chain: Vec<Name> = w
+                .www_chain(id, st)
+                .map(|(a, b)| std::iter::once(a).chain(b).collect())
+                .unwrap_or_default();
+            assert_eq!(chain, expected_chain, "d{i}");
+        }
+    }
+
+    /// Zero-padded customer labels name no domain: the bulk path answers
+    /// NXDOMAIN, as the wire path does, instead of answering for `d0`.
+    #[test]
+    fn padded_customer_labels_nxdomain() {
+        let w = tiny_world();
+        let tld = w.domains()[0].tld.label();
+        assert_eq!(
+            w.resolve(&format!("d0.{tld}").parse().unwrap(), RrType::A)
+                .map(|r| r.rcode)
+                .ok(),
+            Some(Rcode::NoError)
+        );
+        for qname in [format!("d00.{tld}"), format!("www.d000.{tld}")] {
+            let res = w.resolve(&qname.parse().unwrap(), RrType::A).unwrap();
+            assert_eq!(res.rcode, Rcode::NxDomain, "{qname}");
+            assert!(res.answers.is_empty(), "{qname}");
+        }
     }
 
     #[test]

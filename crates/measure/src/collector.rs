@@ -183,10 +183,8 @@ impl SldInterner {
         if let Some(&id) = self.cache.get(name) {
             return id;
         }
-        let sld = self.psl.registered_domain(name);
-        let mut s = sld.to_string();
-        s.pop(); // drop the trailing dot for human-friendly dictionary entries
-        let id = dict.intern(&s);
+        let sld = name.suffix_wire(self.psl.suffix_labels(name) + 1);
+        let id = dict.intern(&dotted(sld));
         self.cache.insert(name.clone(), id);
         id
     }
@@ -198,12 +196,31 @@ impl SldInterner {
         if let Some(&id) = self.full_cache.get(name) {
             return id;
         }
-        let mut s = name.to_string();
-        s.pop();
-        let id = dict.intern(&s);
+        let id = dict.intern(&dotted(name.as_wire()));
         self.full_cache.insert(name.clone(), id);
         id
     }
+}
+
+/// The presentation form of wire-form name bytes without the trailing
+/// dot (`\x03www\x02le\x00` → `www.le`; the root gives `""`), rendered
+/// into one allocation: the human-friendly dictionary entry of a name.
+fn dotted(wire: &[u8]) -> String {
+    let mut out = Vec::with_capacity(wire.len());
+    let mut rest = wire;
+    while let Some((&len, tail)) = rest.split_first() {
+        let Some(label) = tail.get(..usize::from(len)).filter(|l| !l.is_empty()) else {
+            break;
+        };
+        if !out.is_empty() {
+            out.push(b'.');
+        }
+        out.extend_from_slice(label);
+        rest = tail.get(label.len()..).unwrap_or(&[]);
+    }
+    // Labels are normalised ASCII; the lossy fallback renders any other
+    // bytes exactly as `Name`'s `Display` does.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 impl Default for SldInterner {
@@ -316,7 +333,7 @@ impl RawRow {
 fn push_distinct(slot: &mut [Option<Name>; 2], name: &Name) {
     match &slot[0] {
         None => slot[0] = Some(name.clone()),
-        Some(first) if first.sld() != name.sld() && slot[1].is_none() => {
+        Some(first) if first.suffix_wire(2) != name.suffix_wire(2) && slot[1].is_none() => {
             slot[1] = Some(name.clone());
         }
         _ => {}
@@ -366,11 +383,11 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
             row.www_v4 = v4_of(res);
-            let mut cnames = std::mem::take(&mut row.cnames);
-            for target in res.cname_chain() {
-                push_distinct(&mut cnames, target);
+            for rec in &res.answers {
+                if let RData::Cname(target) = &rec.rdata {
+                    push_distinct(&mut row.cnames, target);
+                }
             }
-            row.cnames = cnames;
         }
         Err(e) => {
             row.retryable |= e.is_transient();
@@ -392,11 +409,10 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
     match &ns_res {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
-            let mut ns = std::mem::take(&mut row.ns);
-            let mut hosts = std::mem::take(&mut row.ns_hosts);
             for rec in res.records_of(RrType::Ns) {
                 if let RData::Ns(host) = &rec.rdata {
-                    push_distinct(&mut ns, host);
+                    push_distinct(&mut row.ns, host);
+                    let hosts = &mut row.ns_hosts;
                     if hosts[0].is_none() {
                         hosts[0] = Some(host.clone());
                     } else if hosts[1].is_none() && hosts[0].as_ref() != Some(host) {
@@ -404,8 +420,6 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
                     }
                 }
             }
-            row.ns = ns;
-            row.ns_hosts = hosts;
         }
         Err(e) => {
             row.retryable |= e.is_transient();
@@ -519,5 +533,27 @@ mod tests {
         let b = i.intern(&mut dict, &"other.incapdns.net".parse().unwrap());
         assert_eq!(a, b);
         assert_eq!(dict.resolve(a), Some("incapdns.net"));
+        let uk = i.intern(&mut dict, &"www.shop.co.uk".parse().unwrap());
+        assert_eq!(dict.resolve(uk), Some("shop.co.uk"));
+        let root = i.intern(&mut dict, &Name::root());
+        assert_eq!(dict.resolve(root), Some(""));
+    }
+
+    /// Dictionary strings equal the `Display` rendering minus its root
+    /// dot, non-UTF-8 label bytes included.
+    #[test]
+    fn dotted_matches_display_without_root_dot() {
+        for wire in [
+            &b"\x00"[..],
+            b"\x02le\x00",
+            b"\x03www\x05examp\x02le\x00",
+            b"\x02\xff\xfe\x02le\x00",
+            b"\x02a\xc3\x02\xa9b\x00",
+        ] {
+            let name = Name::from_wire(wire).unwrap();
+            let mut shown = name.to_string();
+            shown.pop();
+            assert_eq!(dotted(name.as_wire()), shown, "{wire:?}");
+        }
     }
 }

@@ -21,14 +21,64 @@ fn world_at(day: u32, seed: u64) -> World {
     world
 }
 
+/// The three query paths side by side: bulk, iterative wire resolution
+/// and the caching recursor.
+struct Paths {
+    wire: Resolver,
+    cached: RecursorWorker,
+    compared: usize,
+    sample: Vec<(Name, RrType, Resolution)>,
+}
+
+impl Paths {
+    /// Resolves `(qname, qtype)` over all three paths and asserts they
+    /// agree. Every NOERROR bulk answer to an apex or `www` query must be
+    /// owned by the qname itself: the bulk path owns answers by the
+    /// qname it was asked, so a qname that parses to another domain's id
+    /// would show up here as a foreign owner.
+    fn compare(&mut self, world: &World, qname: &Name, qtype: RrType) {
+        let bulk = world.resolve(qname, qtype);
+        let wire_res = self.wire.resolve(qname, qtype);
+        let rec_res = self.cached.resolve(qname, qtype);
+        match (bulk, wire_res) {
+            (Ok(b), Ok(w)) => {
+                assert_eq!(b.rcode, w.rcode, "{qname} {qtype} rcode");
+                assert_eq!(b.answers, w.answers, "{qname} {qtype} answers");
+                let r = rec_res.unwrap_or_else(|e| {
+                    panic!("{qname} {qtype}: recursor failed ({e}) where wire succeeded")
+                });
+                assert_eq!(b.rcode, r.rcode, "{qname} {qtype} recursor rcode");
+                assert_eq!(b.answers, r.answers, "{qname} {qtype} recursor answers");
+                if let (Rcode::NoError, Some(first)) = (b.rcode, b.answers.first()) {
+                    assert_eq!(&first.name, qname, "{qname} {qtype}: answer owner");
+                }
+                if self.sample.len() < 50 {
+                    self.sample.push((qname.clone(), qtype, r));
+                }
+                self.compared += 1;
+            }
+            (Err(_), Err(_)) => self.compared += 1, // outage: both fail
+            (b, w) => panic!("{qname} {qtype}: bulk {b:?} vs wire {w:?}"),
+        }
+    }
+}
+
+fn name(s: &str) -> Name {
+    s.parse().unwrap()
+}
+
 fn compare_all(world: &World, net: &std::sync::Arc<Network>) {
     let catalog = world.materialize(net);
-    let mut wire = Resolver::new(net, "172.16.0.2".parse().unwrap(), 7, catalog.root_hints());
+    let wire = Resolver::new(net, "172.16.0.2".parse().unwrap(), 7, catalog.root_hints());
     let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut cached: RecursorWorker = recursor.worker(net, "172.16.0.3".parse().unwrap(), 7);
+    let cached: RecursorWorker = recursor.worker(net, "172.16.0.3".parse().unwrap(), 7);
+    let mut paths = Paths {
+        wire,
+        cached,
+        compared: 0,
+        sample: Vec::new(),
+    };
 
-    let mut compared = 0usize;
-    let mut sample: Vec<(Name, RrType, Resolution)> = Vec::new();
     for tld in dps_scope::ecosystem::MEASURED_TLDS {
         for &entry in world.zone_entries(tld).iter() {
             let apex = world.entry_name(entry);
@@ -40,29 +90,34 @@ fn compare_all(world: &World, net: &std::sync::Arc<Network>) {
                 (&www, RrType::A),
                 (&www, RrType::Cname),
             ] {
-                let bulk = world.resolve(qname, qtype);
-                let wire_res = wire.resolve(qname, qtype);
-                let rec_res = cached.resolve(qname, qtype);
-                match (bulk, wire_res) {
-                    (Ok(b), Ok(w)) => {
-                        assert_eq!(b.rcode, w.rcode, "{qname} {qtype} rcode");
-                        assert_eq!(b.answers, w.answers, "{qname} {qtype} answers");
-                        let r = rec_res.unwrap_or_else(|e| {
-                            panic!("{qname} {qtype}: recursor failed ({e}) where wire succeeded")
-                        });
-                        assert_eq!(b.rcode, r.rcode, "{qname} {qtype} recursor rcode");
-                        assert_eq!(b.answers, r.answers, "{qname} {qtype} recursor answers");
-                        if sample.len() < 50 {
-                            sample.push((qname.clone(), qtype, r));
-                        }
-                        compared += 1;
-                    }
-                    (Err(_), Err(_)) => compared += 1, // outage: both fail
-                    (b, w) => panic!("{qname} {qtype}: bulk {b:?} vs wire {w:?}"),
-                }
+                paths.compare(world, qname, qtype);
+            }
+            // Off-list: the zero-padded spelling of a customer label names
+            // no domain on the wire, so the bulk path must not answer it
+            // as the canonical one.
+            if let dps_scope::ecosystem::ZoneEntry::Domain(id) = entry {
+                let padded = name(&format!("d0{}.{}", id.0, tld.label()));
+                let padded_www = padded.prepend("www").unwrap();
+                paths.compare(world, &padded, RrType::A);
+                paths.compare(world, &padded, RrType::Ns);
+                paths.compare(world, &padded_www, RrType::A);
             }
         }
+        // Off-list: one past the last domain id, and its www.
+        let beyond = name(&format!("d{}.{}", world.domains().len(), tld.label()));
+        paths.compare(world, &beyond, RrType::A);
+        paths.compare(world, &beyond.prepend("www").unwrap(), RrType::A);
     }
+    // Off-list: names under a TLD the world does not run.
+    for unknown in ["d1.zz", "www.d1.zz", "cloudflare.zz", "zz"] {
+        paths.compare(world, &name(unknown), RrType::A);
+    }
+    let Paths {
+        compared,
+        sample,
+        mut cached,
+        ..
+    } = paths;
     assert!(compared > 1000, "compared {compared} resolutions");
 
     // Second pass over a sample: the recursor must replay the exact same

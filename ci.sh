@@ -125,7 +125,8 @@ stream_smoke() {
 # historical single-file archive.
 scale_smoke() {
     echo "==> smoke: dpscope measure --shards (sharded-archive equivalence)"
-    rm -rf target/ci-scale-single target/ci-scale-sharded target/ci-scale-resume
+    rm -rf target/ci-scale-single target/ci-scale-sharded target/ci-scale-resume \
+        target/ci-scale-resume-single
     ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
         --archive target/ci-scale-single
     ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
@@ -144,10 +145,12 @@ scale_smoke() {
     ./target/release/dpscope analyze --scale 0.004 --days 3 --cc-start 2 \
         --archive target/ci-scale-sharded --out target/ci-scale-sharded/figs table1
     cmp target/ci-scale-single/figs/table1.txt target/ci-scale-sharded/figs/table1.txt
-    # Re-running the same sweep resumes into the existing sharded layout
-    # (every day already committed) and leaves every file byte-identical.
-    # Incremental and crash-interrupted resumes are covered in cargo
-    # tests; the CLI cannot stop a sweep mid-run deterministically.
+    # Re-running the same sweep resumes into the existing layout (every
+    # day already committed) and leaves every file byte-identical, for
+    # the sharded and the single-file archive alike: both go through the
+    # one resume routine. Incremental and crash-interrupted resumes are
+    # covered in cargo tests; the CLI cannot stop a sweep mid-run
+    # deterministically.
     mkdir -p target/ci-scale-resume
     cp target/ci-scale-sharded/archive.manifest \
         target/ci-scale-sharded/archive.shard*.dps target/ci-scale-resume/
@@ -158,7 +161,14 @@ scale_smoke() {
         cmp "target/ci-scale-resume/archive.shard$k.dps" \
             "target/ci-scale-sharded/archive.shard$k.dps"
     done
-    rm -rf target/ci-scale-single target/ci-scale-sharded target/ci-scale-resume
+    mkdir -p target/ci-scale-resume-single
+    cp target/ci-scale-single/archive.dps target/ci-scale-resume-single/
+    ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
+        --archive target/ci-scale-resume-single
+    cmp target/ci-scale-resume-single/archive.dps target/ci-scale-single/archive.dps
+    ./target/release/dpscope store verify target/ci-scale-single
+    rm -rf target/ci-scale-single target/ci-scale-sharded target/ci-scale-resume \
+        target/ci-scale-resume-single
 }
 
 # Deterministic mutation fuzzing: every decoder target runs a fixed seed

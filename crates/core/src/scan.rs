@@ -382,7 +382,7 @@ mod tests {
     fn archive_scan_matches_in_memory_scan() {
         let path = archived("single", 1);
         let store = SnapshotStore::load_archive(&path).unwrap();
-        let reader = dps_store::StoreReader::Single(dps_store::Archive::open(&path).unwrap());
+        let reader = dps_store::StoreReader::open_auto(&path).unwrap();
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
         let mem = scanner.run(&store);

@@ -20,7 +20,7 @@
 //!
 //! That is what makes checkpointing safe: a crash mid-append or mid-commit
 //! can only tear bytes written after the last durable trailer, so
-//! [`recover_footer`] always finds the chain again by scanning backwards
+//! [`recover_chain`] always finds the chain again by scanning backwards
 //! for the trailer magic and validating every footer checksum on the
 //! chain. A cleanly committed file is opened by reading only its tail
 //! chain — no page bytes are touched.
@@ -52,11 +52,6 @@ fn corrupt(what: &str) -> io::Error {
 pub struct Footer {
     /// The catalog as of the chain's newest commit.
     pub catalog: Catalog,
-    /// Byte offset where the newest footer starts (end of its pages).
-    pub data_end: u64,
-    /// Byte offset just past the newest trailer — where the next page
-    /// appends, and the `prev` back-pointer for the next commit.
-    pub trailer_end: u64,
     /// Commits (delta footers) walked to rebuild the catalog.
     pub chain_len: u64,
 }
@@ -64,13 +59,10 @@ pub struct Footer {
 /// One validated commit on the trailer chain. [`recover_chain`] returns
 /// these oldest-first so a resuming writer can keep a *prefix* of the
 /// chain (everything a sharded manifest says is durable) and truncate the
-/// rest — a finer-grained rollback than [`recover_footer`]'s
-/// all-or-nothing tail recovery.
+/// rest.
 pub struct ChainCommit {
     /// The commit's catalog delta (its new pages, uniques, dict tail).
     pub delta: CatalogDelta,
-    /// Byte offset where this commit's footer starts.
-    pub data_end: u64,
     /// Byte offset just past this commit's trailer.
     pub trailer_end: u64,
 }
@@ -172,7 +164,6 @@ fn collect_chain(
         }
         commits.push(ChainCommit {
             delta,
-            data_end,
             trailer_end: cur_start + TRAILER_LEN,
         });
         if cur.prev == 0 {
@@ -194,15 +185,15 @@ fn collect_chain(
 /// an empty chain or if the deltas do not apply cleanly (duplicate pages,
 /// dictionary-base mismatch, …).
 pub fn chain_to_footer(commits: &[ChainCommit]) -> Option<Footer> {
-    let newest = commits.last()?;
+    if commits.is_empty() {
+        return None;
+    }
     let mut catalog = Catalog::new();
     for commit in commits {
         catalog.apply(&commit.delta)?;
     }
     Some(Footer {
         catalog,
-        data_end: newest.data_end,
-        trailer_end: newest.trailer_end,
         chain_len: commits.len() as u64,
     })
 }
@@ -215,17 +206,9 @@ fn load_chain(file: &mut std::fs::File, trailer_start: u64, newest: &Trailer) ->
 /// Finds the last durable footer chain, tolerating a torn tail: first
 /// tries the trailer at EOF, then scans backwards for the trailer magic,
 /// validating each candidate's whole chain. Returns the most recent valid
-/// one.
-pub fn recover_footer(file: &mut std::fs::File) -> io::Result<Footer> {
-    let commits = recover_chain(file)?;
-    chain_to_footer(&commits).ok_or_else(|| corrupt("no valid footer found"))
-}
-
-/// Like [`recover_footer`] but exposes the individual commits, oldest
-/// first, instead of the merged catalog. Returns `Ok(vec![])` for a file
-/// with a valid header and no recoverable footer — a freshly created (or
-/// fully torn-back) archive. The sharded store uses this to roll a shard
-/// back to the longest prefix its manifest vouches for.
+/// chain's commits, oldest first, or `Ok(vec![])` for a file with a valid
+/// header and no recoverable footer — a freshly created (or fully
+/// torn-back) archive.
 pub fn recover_chain(file: &mut std::fs::File) -> io::Result<Vec<ChainCommit>> {
     check_header(file)?;
     let file_len = file.seek(SeekFrom::End(0))?;

@@ -1,27 +1,33 @@
-//! # dps-store — single-file paged columnar archive
+//! # dps-store — paged columnar archive, one file or sharded
 //!
 //! The paper's Stage II is Parquet on a cluster filesystem: compact
 //! per-day columnar tables that Stage III scans with column projection.
-//! This crate is that storage engine for the reproduction: **one file**,
-//! random access by footer catalog, bounded memory, restartable
-//! collection.
+//! This crate is that storage engine for the reproduction: random access
+//! by footer catalog, bounded memory, restartable collection. A store is
+//! one archive file, or a manifest plus N row-split shard files (see
+//! [`sharded`]); both go through the one [`StoreWriter`] and
+//! [`StoreReader`].
 //!
-//! On disk (see [`format`] for the exact layout): a magic header, then
-//! row-group **pages** — one encoded `dps-columnar` table chunk each,
-//! CRC32-checksummed — then a footer **catalog** mapping `(day, source)`
-//! to byte ranges, row counts and exact per-source statistics, plus the
-//! interned string dictionary. Opening an archive reads only the footer.
+//! Each archive file on disk (see [`format`](mod@format) for the exact
+//! layout): a magic header, then row-group **pages** — one encoded
+//! `dps-columnar` table chunk each, CRC32-checksummed — then a footer
+//! **catalog** mapping `(day, source)` to byte ranges, row counts and
+//! exact per-source statistics, plus the interned string dictionary.
+//! Opening an archive reads only the footer.
 //!
-//! Three moving parts on top of the format:
+//! The moving parts on top of the format:
 //!
-//! * [`ArchiveWriter`] — streaming writes with per-day durable commits;
-//!   a killed sweep resumes from its last committed footer instead of
-//!   day 0 (the footer is re-located by backward scan if the tail is
-//!   torn).
+//! * [`ArchiveWriter`] — streaming writes to one file with per-day
+//!   durable commits; a killed sweep resumes from its last committed
+//!   footer instead of day 0 (the footer is re-located by backward scan
+//!   if the tail is torn). An I/O error poisons it until resumed.
 //! * [`Archive`] — the read handle: CRC-checked lazy page loads through a
 //!   sharded LRU [`PageCache`] keyed by `(day, source, projection)`, with
 //!   [`ScanQuery`] pruning (day/source predicates skip pages entirely)
 //!   and projection (only the touched columns are decoded).
+//! * [`StoreWriter`] / [`StoreReader`] — the layout-agnostic store over
+//!   one or more such files; a single file is the store with one shard
+//!   and no manifest.
 //! * [`CounterSnapshot`] — per-archive I/O and decode counters, so tests
 //!   and benchmarks can assert that projection and caching actually avoid
 //!   work.
@@ -57,5 +63,5 @@ pub mod writer;
 pub use archive::{Archive, CounterSnapshot, ScanItem, ScanQuery, StoreMetrics, VerifyReport};
 pub use cache::PageCache;
 pub use catalog::{Catalog, PageMeta, SourceStats};
-pub use sharded::{ShardedArchive, ShardedWriter, StoreReader, StoreWriter};
+pub use sharded::{StoreReader, StoreWriter};
 pub use writer::ArchiveWriter;

@@ -23,6 +23,10 @@ use std::path::Path;
 /// recovers that trailer, truncates the torn tail, and the sweep
 /// re-measures from the next day. A resumed sweep therefore produces a
 /// byte-identical file to an uninterrupted one.
+///
+/// A failed write or fsync poisons the writer: the file may then hold
+/// bytes, or lack durability, that its in-memory state does not reflect,
+/// so every later append or commit fails and resuming is the only way on.
 pub struct ArchiveWriter {
     file: File,
     catalog: Catalog,
@@ -39,8 +43,8 @@ pub struct ArchiveWriter {
     /// `trailer_end` of the last durable footer (0 = none yet, the
     /// first-footer sentinel in the chain's back-pointer).
     prev_trailer_end: u64,
-    /// Whether any footer has been written to this file yet.
-    committed_once: bool,
+    /// Set by the first failed write or fsync.
+    poisoned: bool,
 }
 
 impl ArchiveWriter {
@@ -60,75 +64,116 @@ impl ArchiveWriter {
             .truncate(true)
             .open(path)?;
         file.write_all(HEADER_MAGIC)?;
-        let catalog = Catalog::new();
-        let committed_dict_len = catalog.dict.len() as u64;
-        Ok(Self {
+        Ok(Self::continue_from(
             file,
-            catalog,
-            data_end: 8,
-            unique_key_column: unique_key_column.map(str::to_owned),
-            pending_pages: Vec::new(),
-            pending_uniques: Vec::new(),
-            committed_dict_len,
-            prev_trailer_end: 0,
-            committed_once: false,
-        })
+            Catalog::new(),
+            8,
+            unique_key_column,
+        ))
     }
 
     /// Opens an existing archive for appending, recovering the last durable
     /// footer (tolerating a torn tail from a killed writer) and truncating
     /// everything after it. Fails if `path` is not a valid archive.
     pub fn resume(path: &Path, unique_key_column: Option<&str>) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let footer = format::recover_footer(&mut file)?;
-        // Drop any torn bytes written after the last durable trailer.
-        file.set_len(footer.trailer_end)?;
-        let committed_dict_len = footer.catalog.dict.len() as u64;
-        Ok(Self {
-            file,
-            catalog: footer.catalog,
-            data_end: footer.trailer_end,
-            unique_key_column: unique_key_column.map(str::to_owned),
-            pending_pages: Vec::new(),
-            pending_uniques: Vec::new(),
-            committed_dict_len,
-            prev_trailer_end: footer.trailer_end,
-            committed_once: true,
-        })
+        Self::resume_covering(path, unique_key_column, None)
     }
 
-    /// Builds a writer from an already-recovered state: `file` truncated
-    /// to `trailer_end` (8 = fresh, nothing committed) and `catalog` the
-    /// merged result of the surviving chain prefix. The sharded store uses
-    /// this after rolling a shard back to the prefix its manifest covers.
-    pub(crate) fn from_recovered(
+    /// The one resume routine for every archive file. Recovers the footer
+    /// chain ([`format::recover_chain`]), keeps the longest prefix of
+    /// commits whose days all lie in `covered` (the whole chain when
+    /// `covered` is `None`), truncates everything after that prefix and
+    /// continues from it.
+    ///
+    /// With `covered`, the kept pages must hold exactly the covered days;
+    /// fewer is data loss and an error. Without it, an empty chain is
+    /// refused and the file left untouched: with nothing vouching for it,
+    /// a valid header with no recoverable footer cannot be told apart
+    /// from corruption.
+    pub(crate) fn resume_covering(
+        path: &Path,
+        unique_key_column: Option<&str>,
+        covered: Option<&BTreeSet<u32>>,
+    ) -> io::Result<Self> {
+        let corrupt = |what: &str| {
+            io::Error::other(format!(
+                "dps-store: corrupt archive {} ({what})",
+                path.display()
+            ))
+        };
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let commits = format::recover_chain(&mut file)?;
+        let prefix_len = match covered {
+            // The first commit holding a day the manifest does not cover,
+            // and every later one, reached this file but not the
+            // manifest: roll them back.
+            Some(days) => commits
+                .iter()
+                .position(|c| c.delta.pages.iter().any(|p| !days.contains(&p.day)))
+                .unwrap_or(commits.len()),
+            None if commits.is_empty() => return Err(corrupt("no valid footer found")),
+            None => commits.len(),
+        };
+        let prefix = commits.get(..prefix_len).unwrap_or(&commits);
+        let mut catalog = Catalog::new();
+        for commit in prefix {
+            catalog
+                .apply(&commit.delta)
+                .ok_or_else(|| corrupt("footer chain does not apply cleanly"))?;
+        }
+        if let Some(days) = covered {
+            let kept: BTreeSet<u32> = catalog.pages.keys().map(|&(d, _)| d).collect();
+            if kept != *days {
+                return Err(corrupt("missing days the manifest covers"));
+            }
+        }
+        let trailer_end = prefix.last().map_or(8, |c| c.trailer_end);
+        file.set_len(trailer_end)?;
+        Ok(Self::continue_from(
+            file,
+            catalog,
+            trailer_end,
+            unique_key_column,
+        ))
+    }
+
+    /// A writer appending at `trailer_end` (8 = just the header, nothing
+    /// committed) of `file`, whose durable chain merges into `catalog`.
+    fn continue_from(
         file: File,
         catalog: Catalog,
         trailer_end: u64,
         unique_key_column: Option<&str>,
     ) -> Self {
-        let committed_once = trailer_end > 8;
         let committed_dict_len = catalog.dict.len() as u64;
         Self {
             file,
             catalog,
-            data_end: trailer_end.max(8),
+            data_end: trailer_end,
             unique_key_column: unique_key_column.map(str::to_owned),
             pending_pages: Vec::new(),
             pending_uniques: Vec::new(),
             committed_dict_len,
-            prev_trailer_end: if committed_once { trailer_end } else { 0 },
-            committed_once,
+            prev_trailer_end: if trailer_end > 8 { trailer_end } else { 0 },
+            poisoned: false,
         }
     }
 
-    /// Resumes if `path` exists, creates otherwise.
-    pub fn resume_or_create(path: &Path, unique_key_column: Option<&str>) -> io::Result<Self> {
-        if path.exists() {
-            Self::resume(path, unique_key_column)
-        } else {
-            Self::create(path, unique_key_column)
+    /// Runs one write or fsync step on the file, poisoning the writer if
+    /// it fails.
+    fn io<T>(&mut self, step: impl FnOnce(&mut File) -> io::Result<T>) -> io::Result<T> {
+        let result = step(&mut self.file);
+        self.poisoned |= result.is_err();
+        result
+    }
+
+    fn check_not_poisoned(&self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "dps-store: writer poisoned by an earlier I/O error; resume the archive to continue",
+            ));
         }
+        Ok(())
     }
 
     /// The catalog as of the pages appended so far.
@@ -163,15 +208,19 @@ impl ArchiveWriter {
         table: &Table,
         data_points: u64,
     ) -> io::Result<()> {
+        self.check_not_poisoned()?;
         if self.contains(day, source) {
             return Err(io::Error::other(format!(
                 "dps-store: page (day {day}, source {source}) already archived"
             )));
         }
         let bytes = table.to_bytes();
-        self.file.seek(SeekFrom::Start(self.data_end))?;
-        self.file.write_all(&bytes)?;
-        self.file.write_all(&crc32(&bytes).to_le_bytes())?;
+        let offset = self.data_end;
+        self.io(|file| {
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(&bytes)?;
+            file.write_all(&crc32(&bytes).to_le_bytes())
+        })?;
         let meta = PageMeta {
             day,
             source,
@@ -211,11 +260,6 @@ impl ArchiveWriter {
         Ok(())
     }
 
-    /// Pages appended since the last commit.
-    pub fn uncommitted_pages(&self) -> usize {
-        self.pending_pages.len()
-    }
-
     /// Commits everything appended so far: fsyncs the page region, appends
     /// a footer carrying this commit's catalog delta (including the tail
     /// of `dict` since the previous commit) and its trailer, and fsyncs
@@ -223,6 +267,7 @@ impl ArchiveWriter {
     /// commit with no new pages and no new dictionary entries is a no-op
     /// (the durable footer chain already describes the file).
     pub fn commit(&mut self, dict: &StringDict) -> io::Result<()> {
+        self.check_not_poisoned()?;
         let dict_len = dict.len() as u64;
         if dict_len < self.committed_dict_len {
             return Err(io::Error::other(
@@ -231,7 +276,7 @@ impl ArchiveWriter {
         }
         if self.pending_pages.is_empty()
             && dict_len == self.committed_dict_len
-            && self.committed_once
+            && self.prev_trailer_end != 0
         {
             return Ok(());
         }
@@ -244,7 +289,7 @@ impl ArchiveWriter {
         }
         // Barrier 1: the pages a footer is about to reference must be
         // durable before that footer can become the recovery point.
-        self.file.sync_data()?;
+        self.io(|file| file.sync_data())?;
         let delta = CatalogDelta {
             pages: std::mem::take(&mut self.pending_pages),
             uniques: std::mem::take(&mut self.pending_uniques),
@@ -258,15 +303,62 @@ impl ArchiveWriter {
         tail.extend_from_slice(&(footer.len() as u64).to_le_bytes());
         tail.extend_from_slice(&self.prev_trailer_end.to_le_bytes());
         tail.extend_from_slice(FOOTER_MAGIC);
-        self.file.seek(SeekFrom::Start(self.data_end))?;
-        self.file.write_all(&tail)?;
-        // Barrier 2: the footer itself. Later pages append after it.
-        self.file.sync_data()?;
+        let offset = self.data_end;
+        self.io(|file| {
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(&tail)?;
+            // Barrier 2: the footer itself. Later pages append after it.
+            file.sync_data()
+        })?;
         self.data_end += tail.len() as u64;
         self.prev_trailer_end = self.data_end;
         self.catalog.dict = dict.clone();
         self.committed_dict_len = dict_len;
-        self.committed_once = true;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dps_columnar::{Schema, TableBuilder};
+
+    fn day_table(day: u32) -> Table {
+        let mut b = TableBuilder::new(Schema::new(&["day", "entry"]));
+        b.push_row(&[day, 7]);
+        b.finish()
+    }
+
+    /// A footer write that fails must poison the writer. Otherwise a
+    /// retried commit with an unchanged dictionary finds nothing pending
+    /// and returns `Ok`, while `contains` still reports a day that no
+    /// durable footer references.
+    #[test]
+    fn failed_commit_poisons_the_writer() {
+        let dir = std::env::temp_dir().join(format!("dps-store-poison-{}", std::process::id()));
+        let path = dir.join("archive.dps");
+        let dict = StringDict::new();
+        let mut w = ArchiveWriter::create(&path, None).unwrap();
+        w.append_table(0, 0, &day_table(0), 1).unwrap();
+        w.commit(&dict).unwrap();
+        w.append_table(1, 0, &day_table(1), 1).unwrap();
+
+        // A read-only handle on the same file: the footer write fails
+        // with EBADF.
+        let writable = std::mem::replace(&mut w.file, File::open(&path).unwrap());
+        assert!(w.commit(&dict).is_err());
+        w.file = writable;
+        assert!(w.contains(1, 0));
+        assert!(
+            w.commit(&dict).is_err(),
+            "a retried commit must not report day 1 durable"
+        );
+        assert!(w.append_table(2, 0, &day_table(2), 1).is_err());
+        drop(w);
+
+        let w = ArchiveWriter::resume(&path, None).unwrap();
+        assert!(w.contains(0, 0));
+        assert!(!w.contains(1, 0), "day 1 never reached a durable footer");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,7 +7,7 @@
 use dps_columnar::{Schema, StringDict, Table, TableBuilder};
 use dps_store::{
     sharded::{manifest_path, shard_path, shard_range},
-    ArchiveWriter, ShardedArchive, ShardedWriter, StoreReader, StoreWriter,
+    ArchiveWriter, StoreReader, StoreWriter,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -274,7 +274,7 @@ fn crash_before_manifest_commit_rolls_shards_back() {
             "replayed shard {shard} must match the uninterrupted run"
         );
     }
-    let archive = ShardedArchive::open(&crashed).unwrap();
+    let archive = StoreReader::open_auto(&crashed).unwrap();
     assert!(archive.verify().unwrap().all_ok());
     cleanup(&crashed);
     cleanup(&witness);
@@ -298,7 +298,7 @@ fn shard_behind_manifest_is_a_clean_error() {
     }
     // Shard 1 loses days 1..3 while the manifest keeps them.
     std::fs::write(shard_path(&base, 1), &one_day).unwrap();
-    let err = match ShardedWriter::resume(&base, Some("entry")) {
+    let err = match StoreWriter::resume_or_create(&base, 2, Some("entry")) {
         Err(err) => err,
         Ok(_) => panic!("resume must fail when a shard is behind the manifest"),
     };
@@ -306,7 +306,7 @@ fn shard_behind_manifest_is_a_clean_error() {
         err.to_string().contains("missing days"),
         "unexpected error: {err}"
     );
-    assert!(ShardedArchive::open(&base).is_err());
+    assert!(StoreReader::open_auto(&base).is_err());
     cleanup(&base);
 }
 
@@ -322,7 +322,7 @@ fn flipped_shard_byte_fails_verify_with_page_location() {
     let mut bytes = std::fs::read(&shard).unwrap();
     bytes[20] ^= 0x01; // inside the first page region (pages start at 8)
     std::fs::write(&shard, &bytes).unwrap();
-    let archive = ShardedArchive::open(&base).unwrap();
+    let archive = StoreReader::open_auto(&base).unwrap();
     let report = archive.verify().unwrap();
     assert!(!report.all_ok());
     assert!(
@@ -354,7 +354,7 @@ fn open_auto_detects_layout_and_single_file_shard_view() {
     cleanup(&base);
 }
 
-/// An open `ShardedArchive` keeps serving reads found in its catalog even
+/// An open sharded `StoreReader` keeps serving reads found in its catalog even
 /// as a writer appends more days — and a reopen sees the new coverage.
 #[test]
 fn reopen_after_append_sees_new_days() {
@@ -364,15 +364,78 @@ fn reopen_after_append_sees_new_days() {
         let mut w = StoreWriter::create_store(&base, 2, Some("entry")).unwrap();
         write_days(&mut w, 0..1, &dict);
     }
-    let before = ShardedArchive::open(&base).unwrap();
+    let before = StoreReader::open_auto(&base).unwrap();
     {
         let mut w = StoreWriter::resume_or_create(&base, 2, Some("entry")).unwrap();
         write_days(&mut w, 1..2, &dict);
     }
     assert_eq!(before.days(0), vec![0]);
     assert!(before.table(0, 0).unwrap().is_some());
-    let after = ShardedArchive::open(&base).unwrap();
+    let after = StoreReader::open_auto(&base).unwrap();
     assert_eq!(after.days(0), vec![0, 1]);
     assert!(after.verify().unwrap().all_ok());
     cleanup(&base);
+}
+
+/// With no manifest to vouch for it, a single file whose header is valid
+/// but whose chain is empty (here: one appended, never committed page)
+/// cannot be told apart from corruption. Resume refuses it and leaves the
+/// bytes alone.
+#[test]
+fn single_file_with_empty_chain_is_refused_untouched() {
+    let base = temp_base("empty-single");
+    {
+        let mut w = StoreWriter::create_store(&base, 1, Some("entry")).unwrap();
+        w.append_table(0, 0, &table(0, 20), 100).unwrap();
+    }
+    let before = std::fs::read(&base).unwrap();
+    assert!(before.len() > 8, "the uncommitted page reached the file");
+    assert!(
+        StoreWriter::resume_or_create(&base, 1, Some("entry")).is_err(),
+        "an empty chain without a manifest must be refused"
+    );
+    assert_eq!(
+        std::fs::read(&base).unwrap(),
+        before,
+        "refusal truncates nothing"
+    );
+    cleanup(&base);
+}
+
+/// A sharded store killed before its first commit: the manifest (committed
+/// at creation) covers no day, so every shard rolls back to its header and
+/// the store resumes as fresh. The finished run is byte-identical to an
+/// uninterrupted one.
+#[test]
+fn sharded_store_killed_before_first_commit_resumes_fresh() {
+    let crashed = temp_base("empty-sharded");
+    let witness = temp_base("empty-witness");
+    let dict = dict();
+    {
+        let mut w = StoreWriter::create_store(&witness, 2, Some("entry")).unwrap();
+        write_days(&mut w, 0..3, &dict);
+    }
+    {
+        let mut w = StoreWriter::create_store(&crashed, 2, Some("entry")).unwrap();
+        w.append_table(0, 0, &table(0, 20), 100).unwrap();
+    }
+    {
+        let mut w = StoreWriter::resume_or_create(&crashed, 2, Some("entry")).unwrap();
+        assert!(w.is_empty(), "uncommitted shard pages are rolled back");
+        assert_eq!(w.last_day(), None);
+        write_days(&mut w, 0..3, &dict);
+    }
+    assert_eq!(
+        std::fs::read(manifest_path(&crashed)).unwrap(),
+        std::fs::read(manifest_path(&witness)).unwrap()
+    );
+    for shard in 0..2u32 {
+        assert_eq!(
+            std::fs::read(shard_path(&crashed, shard)).unwrap(),
+            std::fs::read(shard_path(&witness, shard)).unwrap(),
+            "shard {shard}"
+        );
+    }
+    cleanup(&crashed);
+    cleanup(&witness);
 }

@@ -1,4 +1,4 @@
-//! Integration: the single-file `dps-store` archive across the whole
+//! Integration: the `dps-store` archive across the whole
 //! pipeline — an aborted sweep resumes into a byte-identical archive,
 //! projected scans decode strictly fewer bytes than full-table loads, and
 //! a warm page cache serves repeated classification passes without
@@ -154,47 +154,51 @@ fn projected_scan_decodes_fewer_bytes() {
 
 /// A repeated classification pass over the same archive is served from
 /// the page cache: at least an order of magnitude fewer page decodes
-/// (zero, in fact), with identical output.
+/// (zero, in fact), with identical output — for a single file and for a
+/// 3-shard archive, whose reads go through per-shard caches.
 #[test]
 fn warm_page_cache_serves_repeated_classification() {
-    let path = temp_path("warm-cache");
-    std::fs::remove_file(&path).ok();
-    let mut world = fresh_world();
-    Study::new(study_config())
-        .run_archived(&mut world, &path)
-        .expect("archived run");
+    for shards in [1, 3] {
+        let dir =
+            std::env::temp_dir().join(format!("dps-it-warm-cache-{shards}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("archive.dps");
+        let mut world = fresh_world();
+        Study::new(study_config())
+            .with_shards(shards)
+            .run_archived(&mut world, &path)
+            .expect("archived run");
 
-    let reader = StoreReader::Single(Archive::open(&path).unwrap());
-    let StoreReader::Single(archive) = &reader else {
-        unreachable!("opened as a single-file archive");
-    };
-    let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), reader.dict());
-    let scanner = Scanner::new(&refs);
+        let reader = StoreReader::open_auto(&path).unwrap();
+        assert_eq!(reader.n_shards(), shards);
+        let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), reader.dict());
+        let scanner = Scanner::new(&refs);
 
-    let before = archive.counters();
-    let cold = scanner.run_store(&reader).unwrap();
-    let cold_pass = archive.counters().since(&before);
+        let before = reader.counters();
+        let cold = scanner.run_store(&reader).unwrap();
+        let cold_pass = reader.counters().since(&before);
 
-    let before = archive.counters();
-    let warm = scanner.run_store(&reader).unwrap();
-    let warm_pass = archive.counters().since(&before);
+        let before = reader.counters();
+        let warm = scanner.run_store(&reader).unwrap();
+        let warm_pass = reader.counters().since(&before);
 
-    assert!(
-        cold_pass.pages_decoded >= 10,
-        "cold pass decoded {} pages",
-        cold_pass.pages_decoded
-    );
-    assert!(
-        warm_pass.pages_decoded * 10 <= cold_pass.pages_decoded,
-        "warm pass decoded {} pages vs {} cold",
-        warm_pass.pages_decoded,
-        cold_pass.pages_decoded
-    );
-    assert!(warm_pass.cache_hits >= cold_pass.pages_decoded);
+        assert!(
+            cold_pass.pages_decoded >= 10,
+            "{shards} shard(s): cold pass decoded {} pages",
+            cold_pass.pages_decoded
+        );
+        assert!(
+            warm_pass.pages_decoded * 10 <= cold_pass.pages_decoded,
+            "{shards} shard(s): warm pass decoded {} pages vs {} cold",
+            warm_pass.pages_decoded,
+            cold_pass.pages_decoded
+        );
+        assert!(warm_pass.cache_hits >= cold_pass.pages_decoded);
 
-    assert_eq!(cold.series.days, warm.series.days);
-    assert_eq!(cold.series.provider_any, warm.series.provider_any);
-    assert_eq!(cold.timelines.map.len(), warm.timelines.map.len());
+        assert_eq!(cold.series.days, warm.series.days);
+        assert_eq!(cold.series.provider_any, warm.series.provider_any);
+        assert_eq!(cold.timelines.map.len(), warm.timelines.map.len());
 
-    std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -50,12 +50,19 @@ telemetry_smoke() {
     done
     cmp target/ci-telemetry-a/metrics.json target/ci-telemetry-b/metrics.json
     for counter in net.packets.sent net.chaos.degraded sweep.attempted \
-        health.breaker.probes; do
+        health.breaker.probes measure.rows; do
         grep -q "\"$counter\"" target/ci-telemetry-a/metrics.json || {
             echo "missing counter $counter in metrics JSON" >&2
             exit 1
         }
-        if grep -q "\"$counter\": 0," target/ci-telemetry-a/metrics.json; then
+    done
+    # The JSON renders `"name":value` with no space. measure.rows proves
+    # the chaos sweep records sweep volume through the shared day loop.
+    # health.breaker.probes is only required to be present: it reads 0
+    # under this schedule (see ROADMAP).
+    for counter in net.packets.sent net.chaos.degraded sweep.attempted \
+        measure.rows; do
+        if grep -Eq "\"$counter\": ?0[,}]" target/ci-telemetry-a/metrics.json; then
             echo "counter $counter is zero — instrumentation is dead" >&2
             exit 1
         fi

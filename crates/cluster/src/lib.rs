@@ -26,7 +26,7 @@
 //! [`dps_measure::Study::run_archived`] output, regardless of worker
 //! count, crashes, or completion order. Workers ship raw rows; only the
 //! manager interns into the run-wide dictionary, in calendar order, and
-//! both paths commit through `dps_measure::pipeline::append_day`.
+//! both paths run the one day loop, `dps_measure::pipeline::run_days`.
 
 pub mod manager;
 pub mod provenance;

@@ -1,37 +1,30 @@
 //! The cluster manager: owns the archive, leases work, merges results.
 //!
-//! The manager is the only process that touches `archive.dps`. Workers
-//! collect raw rows against their own same-seed world and ship them back;
-//! the manager interns every row with the **single** run-wide dictionary
-//! and interner, in deterministic order — day ascending, then the day's
-//! [`due_sources_for`] order, then shard index, then row order within the
-//! shard — and funnels each finished day through the same
-//! [`append_day`] commit path the single-process sweep uses. Dictionary
+//! The manager is the only process that touches `archive.dps`. It runs
+//! the same [`run_days`] loop as the single-process sweep, which owns
+//! resume, the calendar, the sweep-volume counters and the commit; the
+//! manager only supplies the day's collection. Workers collect raw rows
+//! against their own same-seed world and ship them back; the manager
+//! interns every row with the **single** run-wide dictionary and
+//! interner, in deterministic order — the day's [`due_sources_for`]
+//! order, then shard index, then row order within the shard. Dictionary
 //! ids and page bytes are therefore independent of worker count, shard
 //! completion order, and any scheduling decision: the archive is
-//! byte-identical to `Study::run_archived` for the same seed.
+//! byte-identical to `Study::run_archived` for the same seed, telemetry
+//! pages included, because the driver derives those counters from the
+//! merged pages rather than from anything a worker reports.
 //!
-//! Worker telemetry arrives as catalog-indexed counter deltas per lease;
-//! the manager merges them (addition, like `Snapshot::merge`) into the
-//! day's TELEMETRY_SOURCE page. Worker failure is absorbed by the
-//! scheduler's dead-letter/epoch machinery; the manager only ever sees
-//! exactly-once unit completion.
+//! Worker failure is absorbed by the scheduler's dead-letter/epoch
+//! machinery; the manager only ever sees exactly-once unit completion.
 
 use crate::scheduler::{Disposition, LeaseGrant, Scheduler, SchedulerConfig, UnitKey, UnitSpec};
 use crate::transport::{Conn, FrameTx};
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::collector::{source_entries, RawRow, SldInterner};
+use dps_measure::collector::{source_entries, RawRow};
 use dps_measure::observation::Source;
-use dps_measure::pipeline::{
-    append_day, day_committed, due_sources_for, reborrow_observer, resume_store_observed,
-    DayObserver, PageBuilder, ANALYSIS_SOURCE,
-};
-use dps_measure::snapshot::UNIQUE_KEY_COLUMN;
-use dps_measure::telemetry::CATALOG;
+use dps_measure::pipeline::{due_sources_for, run_days, DayObserver, PageBuilder};
 use dps_measure::StudyConfig;
-use dps_netsim::Day;
-use dps_store::StoreWriter;
 use dps_telemetry::Snapshot;
 use std::collections::BTreeMap;
 use std::io;
@@ -142,12 +135,8 @@ pub fn serve_observed(
     conns: mpsc::Receiver<Conn>,
     config: ClusterConfig,
     path: &std::path::Path,
-    mut observer: Option<&mut dyn DayObserver>,
+    observer: Option<&mut dyn DayObserver>,
 ) -> io::Result<ClusterOutcome> {
-    let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))?;
-    resume_store_observed(&writer, path, reborrow_observer(&mut observer))?;
-    let mut dict = writer.dict().clone();
-    let mut interner = SldInterner::new();
     let mut world = World::imc2016(config.params);
     let mut sched = Scheduler::new(config.scheduler);
     let mut report = ClusterReport::default();
@@ -168,148 +157,130 @@ pub fn serve_observed(
     let mut workers: BTreeMap<u32, WorkerConn> = BTreeMap::new();
     let mut next_worker: u32 = 1;
 
-    let mut day = 0u32;
-    while day < config.study.days {
-        // Advance through *every* day — including committed ones — so
-        // the manager's world evolves exactly as in a fresh run.
-        world.advance_to(Day(day));
-        if day_committed(&writer, &config.study, day) {
-            if observer.is_some() && !writer.contains(day, ANALYSIS_SOURCE) {
-                return Err(io::Error::other(
-                    "archive day committed without an analysis checkpoint; \
-                     re-run without --stream or start a fresh archive",
-                ));
-            }
-            day += config.study.stride.max(1);
-            continue;
-        }
-        let due = due_sources_for(&config.study, day);
-        let mut shard_counts: BTreeMap<u8, u32> = BTreeMap::new();
-        let mut units = Vec::new();
-        for &source in &due {
-            let len = source_len(&world, source) as u32;
-            let shards = effective_shards(config.shards_per_source, sched.live_workers(), len);
-            shard_counts.insert(source.index() as u8, shards);
-            for shard in 0..shards {
-                let start = len * shard / shards;
-                let end = len * (shard + 1) / shards;
-                units.push(UnitSpec {
-                    key: UnitKey {
-                        source: source.index() as u8,
-                        shard,
-                    },
-                    start,
-                    count: end - start,
-                });
-            }
-        }
-        sched.begin_day(units);
-
-        let mut grants: BTreeMap<u64, LeaseGrant> = BTreeMap::new();
-        let mut collected: BTreeMap<UnitKey, Vec<RawRow>> = BTreeMap::new();
-        let mut day_telemetry = Snapshot::default();
-        day_telemetry.counters.insert("measure.days", 1);
-
-        while !sched.day_done() {
-            for grant in sched.next_grants() {
-                let sent = workers.get(&grant.worker).is_some_and(|w| {
-                    let lease = Msg::Lease {
-                        lease: grant.lease,
-                        epoch: grant.epoch,
-                        day,
-                        source: grant.unit.key.source,
-                        shard: grant.unit.key.shard,
-                        start: grant.unit.start,
-                        count: grant.unit.count,
-                    };
-                    w.tx.send_vec(wire::encode(&lease)).is_ok()
-                });
-                if sent {
-                    grants.insert(grant.lease, grant);
-                } else {
-                    sched.worker_left(grant.worker);
-                    workers.remove(&grant.worker);
-                }
-            }
-            if sched.day_done() {
-                break;
-            }
-            if sched.day_poisoned() {
-                return Err(io::Error::other(format!(
-                    "cluster: day {day} failed after exhausting lease attempts"
-                )));
-            }
-            let Ok(event) = events.recv() else {
-                return Err(io::Error::other("cluster: event channel closed"));
-            };
-            match event {
-                Event::Incoming(conn) => {
-                    let id = next_worker;
-                    next_worker += 1;
-                    workers.insert(
-                        id,
-                        WorkerConn {
-                            tx: conn.tx,
-                            name: format!("worker-{id}"),
-                            admitted: false,
+    run_days(
+        &mut world,
+        path,
+        &config.study,
+        1,
+        observer,
+        |world, day, dict, interner| {
+            let due = due_sources_for(&config.study, day);
+            let mut shard_counts: BTreeMap<u8, u32> = BTreeMap::new();
+            let mut units = Vec::new();
+            for &source in &due {
+                let len = source_len(world, source) as u32;
+                let shards = effective_shards(config.shards_per_source, sched.live_workers(), len);
+                shard_counts.insert(source.index() as u8, shards);
+                for shard in 0..shards {
+                    let start = len * shard / shards;
+                    let end = len * (shard + 1) / shards;
+                    units.push(UnitSpec {
+                        key: UnitKey {
+                            source: source.index() as u8,
+                            shard,
                         },
-                    );
-                    spawn_reader(id, conn.rx, events_tx.clone());
+                        start,
+                        count: end - start,
+                    });
                 }
-                Event::Frame(id, msg) => {
-                    handle_frame(
-                        id,
-                        msg,
-                        day,
-                        &config,
-                        &mut sched,
-                        &mut workers,
-                        &mut grants,
-                        &mut collected,
-                        &mut day_telemetry,
-                        &mut report,
-                    );
+            }
+            sched.begin_day(units);
+
+            let mut grants: BTreeMap<u64, LeaseGrant> = BTreeMap::new();
+            let mut collected: BTreeMap<UnitKey, Vec<RawRow>> = BTreeMap::new();
+
+            while !sched.day_done() {
+                for grant in sched.next_grants() {
+                    let sent = workers.get(&grant.worker).is_some_and(|w| {
+                        let lease = Msg::Lease {
+                            lease: grant.lease,
+                            epoch: grant.epoch,
+                            day,
+                            source: grant.unit.key.source,
+                            shard: grant.unit.key.shard,
+                            start: grant.unit.start,
+                            count: grant.unit.count,
+                        };
+                        w.tx.send_vec(wire::encode(&lease)).is_ok()
+                    });
+                    if sent {
+                        grants.insert(grant.lease, grant);
+                    } else {
+                        sched.worker_left(grant.worker);
+                        workers.remove(&grant.worker);
+                    }
                 }
-                Event::Silence(id) => {
-                    if sched.silence(id) {
+                if sched.day_done() {
+                    break;
+                }
+                if sched.day_poisoned() {
+                    return Err(io::Error::other(format!(
+                        "cluster: day {day} failed after exhausting lease attempts"
+                    )));
+                }
+                let Ok(event) = events.recv() else {
+                    return Err(io::Error::other("cluster: event channel closed"));
+                };
+                match event {
+                    Event::Incoming(conn) => {
+                        let id = next_worker;
+                        next_worker += 1;
+                        workers.insert(
+                            id,
+                            WorkerConn {
+                                tx: conn.tx,
+                                name: format!("worker-{id}"),
+                                admitted: false,
+                            },
+                        );
+                        spawn_reader(id, conn.rx, events_tx.clone());
+                    }
+                    Event::Frame(id, msg) => {
+                        handle_frame(
+                            id,
+                            msg,
+                            day,
+                            &config,
+                            &mut sched,
+                            &mut workers,
+                            &mut grants,
+                            &mut collected,
+                            &mut report,
+                        );
+                    }
+                    Event::Silence(id) => {
+                        if sched.silence(id) {
+                            workers.remove(&id);
+                        }
+                    }
+                    Event::Closed(id) => {
+                        sched.worker_left(id);
                         workers.remove(&id);
                     }
                 }
-                Event::Closed(id) => {
-                    sched.worker_left(id);
-                    workers.remove(&id);
-                }
             }
-        }
-        report.dead_letters = sched.dead_letters();
-        report.stale_rejected = sched.stale_rejected();
-        report.reassigned = sched.reassigned();
+            report.dead_letters = sched.dead_letters();
+            report.stale_rejected = sched.stale_rejected();
+            report.reassigned = sched.reassigned();
 
-        // Merge in deterministic order: due-source order, shard order,
-        // row order — the exact order the single-process sweep interns.
-        let mut pages = Vec::new();
-        for &source in &due {
-            let sid = source.index() as u8;
-            let shards = shard_counts.get(&sid).copied().unwrap_or(1);
-            let mut page = PageBuilder::new(day, source);
-            for shard in 0..shards {
-                let key = UnitKey { source: sid, shard };
-                for raw in collected.remove(&key).unwrap_or_default() {
-                    page.push_raw(raw, &mut dict, &mut interner);
+            // Merge in deterministic order: due-source order, shard order,
+            // row order — the exact order the single-process sweep interns.
+            let mut pages = Vec::new();
+            for &source in &due {
+                let sid = source.index() as u8;
+                let shards = shard_counts.get(&sid).copied().unwrap_or(1);
+                let mut page = PageBuilder::new(day, source);
+                for shard in 0..shards {
+                    let key = UnitKey { source: sid, shard };
+                    for raw in collected.remove(&key).unwrap_or_default() {
+                        page.push_raw(raw, dict, interner);
+                    }
                 }
+                pages.push(page.finish());
             }
-            pages.push(page.finish());
-        }
-        append_day(
-            &mut writer,
-            &dict,
-            day,
-            pages,
-            day_telemetry,
-            reborrow_observer(&mut observer),
-        )?;
-        day += config.study.stride.max(1);
-    }
+            Ok((pages, Snapshot::default()))
+        },
+    )?;
 
     for w in workers.values() {
         w.tx.send_vec(wire::encode(&Msg::Drain)).ok();
@@ -329,7 +300,6 @@ fn handle_frame(
     workers: &mut BTreeMap<u32, WorkerConn>,
     grants: &mut BTreeMap<u64, LeaseGrant>,
     collected: &mut BTreeMap<UnitKey, Vec<RawRow>>,
-    day_telemetry: &mut Snapshot,
     report: &mut ClusterReport,
 ) {
     let admitted = workers.get(&id).is_some_and(|w| w.admitted);
@@ -367,17 +337,7 @@ fn handle_frame(
             }
         }
         Msg::Result(res) if admitted => {
-            handle_result(
-                id,
-                *res,
-                day,
-                sched,
-                workers,
-                grants,
-                collected,
-                day_telemetry,
-                report,
-            );
+            handle_result(id, *res, day, sched, workers, grants, collected, report);
         }
         Msg::Bye => {
             sched.worker_left(id);
@@ -401,7 +361,6 @@ fn handle_result(
     workers: &mut BTreeMap<u32, WorkerConn>,
     grants: &mut BTreeMap<u64, LeaseGrant>,
     collected: &mut BTreeMap<UnitKey, Vec<RawRow>>,
-    day_telemetry: &mut Snapshot,
     report: &mut ClusterReport,
 ) {
     let Some(&grant) = grants.get(&res.lease) else {
@@ -449,11 +408,6 @@ fn handle_result(
                 rows: grant.unit.count,
                 data_points,
             });
-            for (idx, v) in &res.telemetry {
-                if let Some((name, _)) = CATALOG.get(usize::from(*idx)) {
-                    *day_telemetry.counters.entry(name).or_insert(0) += v;
-                }
-            }
             collected.insert(grant.unit.key, raws);
         }
     }

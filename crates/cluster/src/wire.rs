@@ -20,7 +20,7 @@ use dps_measure::quality::CauseCounts;
 /// First two payload bytes of every message.
 pub const MAGIC: u16 = 0xD5C7;
 /// Protocol version; bumped on any frame-layout change.
-pub const PROTO_VERSION: u8 = 1;
+pub const PROTO_VERSION: u8 = 2;
 /// Upper bound on a single frame's payload. A full-source lease result at
 /// paper scale stays far below this; anything larger is hostile or corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
@@ -29,8 +29,6 @@ pub const MAX_ROWS: u32 = 1 << 22;
 /// Upper bound on one length-prefixed string (the Hello display name;
 /// row names travel in bounded DNS wire form instead).
 pub const MAX_STR: usize = 4096;
-/// Upper bound on telemetry entries in one lease result.
-pub const MAX_TELEMETRY: usize = 1024;
 
 // Observation rows cross the wire as [`RawRow`] directly: every name is
 // encoded in its uncompressed DNS wire form (`Name::as_wire`) and decoded
@@ -39,9 +37,8 @@ pub const MAX_TELEMETRY: usize = 1024;
 // the row the worker collected, which is what lets the manager intern
 // worker rows exactly as the single-process sweep would.
 
-/// A finished lease: the rows the worker collected plus its telemetry
-/// deltas as `(catalog index, value)` pairs against the measure metric
-/// catalog.
+/// A finished lease: the rows the worker collected. Sweep telemetry is
+/// not shipped; the manager derives it from the merged day.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseResult {
     /// Lease id being answered.
@@ -56,8 +53,6 @@ pub struct LeaseResult {
     pub shard: u32,
     /// Collected rows, in input-list order.
     pub rows: Vec<RawRow>,
-    /// Telemetry deltas keyed by measure-catalog index.
-    pub telemetry: Vec<(u16, u64)>,
 }
 
 /// Every protocol message.
@@ -376,11 +371,6 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             for row in r.rows.iter().take(MAX_ROWS as usize) {
                 e.row(row);
             }
-            e.u16(r.telemetry.len().min(MAX_TELEMETRY) as u16);
-            for (idx, v) in r.telemetry.iter().take(MAX_TELEMETRY) {
-                e.u16(*idx);
-                e.u64(*v);
-            }
         }
         Msg::Heartbeat { seq } => e.u64(*seq),
         Msg::Reject { lease, epoch } => {
@@ -437,14 +427,6 @@ pub fn decode(payload: &[u8]) -> Option<Msg> {
             for _ in 0..n_rows {
                 rows.push(c.row()?);
             }
-            let n_tel = usize::from(c.u16()?);
-            if n_tel > MAX_TELEMETRY {
-                return None;
-            }
-            let mut telemetry = Vec::with_capacity(n_tel);
-            for _ in 0..n_tel {
-                telemetry.push((c.u16()?, c.u64()?));
-            }
             Msg::Result(Box::new(LeaseResult {
                 lease,
                 epoch,
@@ -452,7 +434,6 @@ pub fn decode(payload: &[u8]) -> Option<Msg> {
                 source,
                 shard,
                 rows,
-                telemetry,
             }))
         }
         T_HEARTBEAT => Msg::Heartbeat { seq: c.u64()? },
@@ -591,7 +572,6 @@ mod tests {
                 source: 0,
                 shard: 1,
                 rows: vec![sample_row()],
-                telemetry: vec![(5, 64), (3, 1024)],
             })),
             Msg::Heartbeat { seq: 99 },
             Msg::Reject { lease: 4, epoch: 1 },
@@ -634,7 +614,6 @@ mod tests {
             source: 0,
             shard: 0,
             rows: vec![sample_row()],
-            telemetry: vec![],
         }));
         let bytes = encode(&msg);
         // Find the apex name's first label length (the "examp" label, 5)

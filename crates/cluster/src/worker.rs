@@ -17,7 +17,6 @@ use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::collector::{collect_entries, source_entries, RawRow};
 use dps_measure::observation::Source;
-use dps_measure::telemetry::CATALOG;
 use dps_netsim::Day;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,8 +137,6 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
         })
     };
 
-    let rows_idx = catalog_index("measure.rows");
-    let points_idx = catalog_index("measure.data.points");
     let mut summary = WorkerSummary {
         worker,
         leases: 0,
@@ -172,14 +169,6 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
                     Some(rows) => {
                         summary.leases += 1;
                         summary.rows += rows.len() as u64;
-                        let data_points: u64 = rows.iter().map(|r| u64::from(r.data_points)).sum();
-                        let mut telemetry = Vec::new();
-                        if let Some(i) = rows_idx {
-                            telemetry.push((i, rows.len() as u64));
-                        }
-                        if let Some(i) = points_idx {
-                            telemetry.push((i, data_points));
-                        }
                         Msg::Result(Box::new(LeaseResult {
                             lease,
                             epoch,
@@ -187,7 +176,6 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
                             source,
                             shard,
                             rows,
-                            telemetry,
                         }))
                     }
                 };
@@ -232,12 +220,4 @@ fn sweep_lease(
     let slice = entries.get(start as usize..end)?;
     let rows = collect_entries(world, slice, &world.pfx2as());
     Some(rows.into_iter().flatten().collect())
-}
-
-/// Index of a metric name in the measure catalog.
-fn catalog_index(name: &str) -> Option<u16> {
-    CATALOG
-        .iter()
-        .position(|(n, _)| *n == name)
-        .map(|i| i as u16)
 }

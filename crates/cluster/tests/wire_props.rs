@@ -130,9 +130,8 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             any::<u8>(),
             any::<u32>(),
             proptest::collection::vec(arb_row(), 0..4),
-            proptest::collection::vec((any::<u16>(), any::<u64>()), 0..4),
         )
-            .prop_map(|(lease, epoch, day, source, shard, rows, telemetry)| {
+            .prop_map(|(lease, epoch, day, source, shard, rows)| {
                 Msg::Result(Box::new(LeaseResult {
                     lease,
                     epoch,
@@ -140,7 +139,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     source,
                     shard,
                     rows,
-                    telemetry,
                 }))
             }),
         any::<u64>().prop_map(|seq| Msg::Heartbeat { seq }),
@@ -255,7 +253,6 @@ fn every_prefix_of_a_result_frame_is_rejected() {
         source: 0,
         shard: 2,
         rows: vec![row],
-        telemetry: vec![(0, 11)],
     }));
     let payload = wire::encode(&msg);
     assert_eq!(wire::decode(&payload), Some(msg));

@@ -399,6 +399,28 @@ mod tests {
         assert!(find_target("no-such-target").is_none());
     }
 
+    /// The checked-in `cluster_frame` corpus speaks the current protocol
+    /// version, so it reaches the message decoders instead of failing the
+    /// header check. Regenerate the files when `PROTO_VERSION` changes.
+    #[test]
+    fn cluster_frame_corpus_matches_the_current_protocol() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/cluster_frame/");
+        let hello = cluster_wire::encode(&cluster_wire::Msg::Hello {
+            proto: cluster_wire::PROTO_VERSION,
+            name: "local".to_string(),
+        });
+        let heartbeat = cluster_wire::encode(&cluster_wire::Msg::Heartbeat { seq: 7 });
+        for (file, bytes) in [
+            ("hello.bin", hello.clone()),
+            ("heartbeat.bin", heartbeat.clone()),
+            ("hello-framed.bin", cluster_wire::frame(&hello)),
+            ("heartbeat-framed.bin", cluster_wire::frame(&heartbeat)),
+        ] {
+            let on_disk = std::fs::read(format!("{dir}{file}")).expect("corpus file");
+            assert_eq!(on_disk, bytes, "{file} is stale");
+        }
+    }
+
     #[test]
     fn targets_tolerate_degenerate_inputs() {
         for t in TARGETS {

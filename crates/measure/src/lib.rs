@@ -23,7 +23,8 @@
 //!   automated).
 //!
 //! [`pipeline::Study`] drives all three stages across the measurement
-//! calendar and commits every day to the `dps-store` archive; the analysis
+//! calendar and commits every day to the `dps-store` archive through
+//! [`pipeline::run_days`], the day loop every sweep shares; the analysis
 //! crate reads it back as a [`snapshot::SnapshotStore`], along with the
 //! Table 1 data-set statistics.
 
@@ -38,8 +39,8 @@ pub mod telemetry;
 pub use collector::{BulkPath, PathTelemetry, QueryPath, RecursorPath, WirePath};
 pub use observation::{Source, SOURCES};
 pub use pipeline::{
-    append_day, day_committed, due_sources_for, resume_store, resume_store_observed, DayObserver,
-    PageBuilder, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE, STREAM_BLOCK_ENTRIES,
+    append_day, due_sources_for, resume_store, run_days, DayObserver, PageBuilder, SourcePage,
+    Study, StudyConfig, ANALYSIS_SOURCE, STREAM_BLOCK_ENTRIES,
 };
 pub use quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 pub use snapshot::{SnapshotStore, SourceStats, ARCHIVE_FILE};

@@ -3,6 +3,11 @@
 //! of paper Fig. 1). The archive is the only thing a sweep writes; the
 //! analysis layer reads it back as a [`SnapshotStore`].
 //!
+//! [`run_days`] is the one resumable day loop. The single-process
+//! [`Study`], the cluster manager and the chaos sweep differ only in how
+//! they collect a day's pages; resume, checkpoint replay, the calendar,
+//! the sweep-volume counters and the commit live in the driver.
+//!
 //! On multi-core machines the per-day sweep fans the input list out over a
 //! crossbeam worker cloud; collected rows are merged and dictionary-encoded
 //! by the manager thread, mirroring the collection/aggregation split of the
@@ -11,7 +16,7 @@
 use crate::collector::{
     collect_entries, collect_raw, source_entries, QueryPath, RawRow, SldInterner,
 };
-use crate::observation::{entry_code, schema, Source, SOURCES};
+use crate::observation::{entry_code, schema, Source};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use crate::supervisor::{sweep_supervised_metered, SupervisorConfig, SweepMetrics};
@@ -20,7 +25,7 @@ use dps_columnar::{StringDict, Table, TableBuilder};
 use dps_ecosystem::World;
 use dps_netsim::Day;
 use dps_store::{StoreReader, StoreWriter};
-use dps_telemetry::{Counter, Registry, Snapshot};
+use dps_telemetry::Snapshot;
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -56,9 +61,9 @@ pub const ANALYSIS_SOURCE: u8 = 7;
 /// checkpoint page per day so a resumed run replays — rather than
 /// recomputes — analysis state.
 ///
-/// Both the single-process [`Study::run_archived_observed`] and the
-/// cluster manager funnel every committed day through the same
-/// implementation, which is what keeps incremental analysis
+/// Every sweep hands its observer to [`run_days`], so the single-process
+/// [`Study::run_archived_observed`] and the cluster manager feed it
+/// through the same loop. That is what keeps incremental analysis
 /// worker-count-independent: the observer only ever sees the already
 /// deterministically-merged day pages.
 pub trait DayObserver {
@@ -83,7 +88,7 @@ pub trait DayObserver {
 /// (A plain `as_deref_mut` cannot shorten the trait-object lifetime —
 /// `&mut (dyn Trait + 'a)` is invariant in `'a` — but this explicit
 /// coercion site can.)
-pub fn reborrow_observer<'a>(
+fn reborrow_observer<'a>(
     observer: &'a mut Option<&mut dyn DayObserver>,
 ) -> Option<&'a mut dyn DayObserver> {
     match observer {
@@ -121,7 +126,7 @@ pub struct SourcePage {
 /// page plus the quality and telemetry pages are committed. A commit
 /// happens once per day, so a day is either fully durable or (after
 /// truncating a torn tail) absent entirely.
-pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bool {
+fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bool {
     due_sources_for(config, day)
         .iter()
         .all(|s| writer.contains(day, s.index() as u8))
@@ -130,12 +135,11 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
 }
 
 /// Appends one finished day to the archive and commits a durable footer.
-/// This is **the** day-commit path: the single-process
-/// [`Study::run_archived`], the cluster manager and the chaos sweep all
-/// funnel through it, which is what keeps a multi-worker sweep
-/// byte-identical to the single-process run — pages land in the same
-/// (day, source) order, followed by the same quality and telemetry
-/// pages, followed by one commit against the shared dictionary.
+/// This is **the** day-commit path: [`run_days`] calls it for every
+/// sweep, which is what keeps a multi-worker sweep byte-identical to the
+/// single-process run — pages land in the same (day, source) order,
+/// followed by the same quality and telemetry pages, followed by one
+/// commit against the shared dictionary.
 ///
 /// With an `observer` (streaming analysis), the observer consumes the
 /// day's pages (rows already interned into `dict`) before the commit,
@@ -209,7 +213,7 @@ pub fn resume_store(
 /// are *consumed* here — the marker makes this a taint root the call
 /// graph alone cannot derive.
 // dps: ingress
-pub fn resume_store_observed(
+fn resume_store_observed(
     writer: &StoreWriter,
     path: &std::path::Path,
     observer: Option<&mut dyn DayObserver>,
@@ -229,6 +233,86 @@ pub fn resume_store_observed(
             std::io::Error::other("catalog lists a page the archive cannot produce")
         })?;
         observer.on_resume(day, &table)?;
+    }
+    Ok(())
+}
+
+/// Adds the sweep-volume counters for one measured day to `telemetry`:
+/// one `measure.days`, the pages' rows as `measure.rows` and their data
+/// points as `measure.data.points`. Every sweep records them the same
+/// way because they come from the pages [`run_days`] commits.
+fn add_sweep_volume(telemetry: &mut Snapshot, pages: &[SourcePage]) {
+    let rows: usize = pages.iter().map(|p| p.table.rows()).sum();
+    let data_points: u64 = pages.iter().map(|p| p.data_points).sum();
+    for (name, v) in [
+        ("measure.days", 1),
+        ("measure.rows", rows as u64),
+        ("measure.data.points", data_points),
+    ] {
+        *telemetry.counters.entry(name).or_insert(0) += v;
+    }
+}
+
+/// The one resumable day loop behind every sweep. Opens (or resumes) the
+/// archive at `path` with `shards` shard files for a fresh archive,
+/// replays committed checkpoints through `observer`, and walks the
+/// calendar in `config`:
+///
+/// * the world is advanced through *every* day, committed or not, so
+///   ecosystem state evolves exactly as in an uninterrupted run;
+/// * a committed day is skipped — but with an `observer` it must carry an
+///   analysis checkpoint, or the archive was written without streaming
+///   analysis and cannot be resumed with it;
+/// * any other due day is collected by `collect`, which gets the world,
+///   the day and the run-wide dictionary and interner (continued from the
+///   last footer, so ids match an uninterrupted run) and returns the
+///   day's pages in [`due_sources_for`] order plus any telemetry of its
+///   own; the driver adds the sweep-volume counters and commits the day
+///   through [`append_day`].
+///
+/// An error from `collect` stops the loop with that error; every day
+/// before it stays committed, and a re-run resumes from there.
+pub fn run_days<F>(
+    world: &mut World,
+    path: &std::path::Path,
+    config: &StudyConfig,
+    shards: u32,
+    mut observer: Option<&mut dyn DayObserver>,
+    mut collect: F,
+) -> std::io::Result<()>
+where
+    F: FnMut(
+        &World,
+        u32,
+        &mut StringDict,
+        &mut SldInterner,
+    ) -> std::io::Result<(Vec<SourcePage>, Snapshot)>,
+{
+    let mut writer = StoreWriter::resume_or_create(path, shards, Some(UNIQUE_KEY_COLUMN))?;
+    resume_store_observed(&writer, path, reborrow_observer(&mut observer))?;
+    let mut dict = writer.dict().clone();
+    let mut interner = SldInterner::new();
+    let mut day = 0u32;
+    while day < config.days {
+        world.advance_to(Day(day));
+        if !day_committed(&writer, config, day) {
+            let (pages, mut telemetry) = collect(world, day, &mut dict, &mut interner)?;
+            add_sweep_volume(&mut telemetry, &pages);
+            append_day(
+                &mut writer,
+                &dict,
+                day,
+                pages,
+                telemetry,
+                reborrow_observer(&mut observer),
+            )?;
+        } else if observer.is_some() && !writer.contains(day, ANALYSIS_SOURCE) {
+            return Err(std::io::Error::other(
+                "archive day committed without an analysis checkpoint; \
+                 re-run without --stream or start a fresh archive",
+            ));
+        }
+        day += config.stride.max(1);
     }
     Ok(())
 }
@@ -286,23 +370,6 @@ impl PageBuilder {
     }
 }
 
-/// Sweep-volume counters the study records per measured day.
-struct StudyMetrics {
-    days: Counter,
-    rows: Counter,
-    data_points: Counter,
-}
-
-impl StudyMetrics {
-    fn new(registry: &Registry) -> Self {
-        Self {
-            days: registry.counter("measure.days"),
-            rows: registry.counter("measure.rows"),
-            data_points: registry.counter("measure.data.points"),
-        }
-    }
-}
-
 /// Streaming-generation memory contract: at most this many entries'
 /// worth of raw rows are in flight per source sweep. The day's rows are
 /// generated block by block and interned into the page builder as each
@@ -315,8 +382,6 @@ pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 /// Drives a full study over a world using the bulk query path.
 pub struct Study {
     config: StudyConfig,
-    registry: Registry,
-    metrics: StudyMetrics,
     /// Raw-row streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
     stream_block: usize,
     /// Shard files for a freshly created archive (1 = single-file).
@@ -324,15 +389,11 @@ pub struct Study {
 }
 
 impl Study {
-    /// A study with a private telemetry registry (per-day deltas land in
-    /// the archive as telemetry pages).
+    /// A study over the calendar in `config`, writing a single-file
+    /// archive.
     pub fn new(config: StudyConfig) -> Self {
-        let registry = Registry::new();
-        let metrics = StudyMetrics::new(&registry);
         Self {
             config,
-            registry,
-            metrics,
             stream_block: STREAM_BLOCK_ENTRIES,
             shards: 1,
         }
@@ -356,26 +417,14 @@ impl Study {
         self
     }
 
-    /// The study's telemetry registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The measurement calendar: which sources are due on `day`.
-    pub fn due_sources(&self, day: u32) -> Vec<Source> {
-        due_sources_for(&self.config, day)
-    }
-
     /// Runs the whole study while streaming each finished day into a
     /// `dps-store` archive at `path`, committing a durable footer after
     /// every measured day (checkpoint). If `path` already holds a partial
-    /// archive — say, from a killed sweep — the run *resumes*: committed
-    /// days are skipped instead of re-measured, the dictionary continues
-    /// from the last footer (interning is idempotent, so ids stay
-    /// identical), and the world is still advanced through every day so
-    /// ecosystem state matches an uninterrupted run. The resulting
-    /// archive is byte-identical to one written in a single uninterrupted
-    /// sweep. Read it back with [`SnapshotStore::load_archive`].
+    /// archive — say, from a killed sweep — the run *resumes* through
+    /// [`run_days`]: committed days are skipped instead of re-measured,
+    /// and the archive ends byte-identical to one written in a single
+    /// uninterrupted sweep. Read it back with
+    /// [`SnapshotStore::load_archive`].
     pub fn run_archived(self, world: &mut World, path: &std::path::Path) -> std::io::Result<()> {
         self.run_archived_observed(world, path, None)
     }
@@ -387,43 +436,22 @@ impl Study {
     /// committed day with no checkpoint page means the archive was
     /// written without streaming analysis and cannot be resumed with it.
     pub fn run_archived_observed(
-        mut self,
+        self,
         world: &mut World,
         path: &std::path::Path,
-        mut observer: Option<&mut dyn DayObserver>,
+        observer: Option<&mut dyn DayObserver>,
     ) -> std::io::Result<()> {
-        let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
-        resume_store_observed(&writer, path, reborrow_observer(&mut observer))?;
-        // Continue interning into the committed dictionary so a resumed
-        // sweep assigns the same ids an uninterrupted one would.
-        let mut dict = writer.dict().clone();
-        let mut interner = SldInterner::new();
-        let mut day = 0u32;
-        while day < self.config.days {
-            // Advance through *every* day — including already-committed
-            // ones — so world state evolves exactly as in a fresh run.
-            world.advance_to(Day(day));
-            if !day_committed(&writer, &self.config, day) {
-                let before = self.registry.snapshot();
-                let pages = self.collect_day(world, day, &mut dict, &mut interner);
-                let delta = self.registry.snapshot().since(&before);
-                append_day(
-                    &mut writer,
-                    &dict,
-                    day,
-                    pages,
-                    delta,
-                    reborrow_observer(&mut observer),
-                )?;
-            } else if observer.is_some() && !writer.contains(day, ANALYSIS_SOURCE) {
-                return Err(std::io::Error::other(
-                    "archive day committed without an analysis checkpoint; \
-                     re-run without --stream or start a fresh archive",
-                ));
-            }
-            day += self.config.stride.max(1);
-        }
-        Ok(())
+        run_days(
+            world,
+            path,
+            &self.config,
+            self.shards,
+            observer,
+            |world, day, dict, interner| {
+                let pages = self.collect_day(world, day, dict, interner);
+                Ok((pages, Snapshot::default()))
+            },
+        )
     }
 
     /// Collects and encodes one page per due source for the world's
@@ -433,7 +461,7 @@ impl Study {
     /// (paper Fig. 1): workers collect raw rows against the immutable
     /// world; this (manager) thread dictionary-encodes them in list order.
     fn collect_day(
-        &mut self,
+        &self,
         world: &World,
         day: u32,
         dict: &mut StringDict,
@@ -441,8 +469,7 @@ impl Study {
     ) -> Vec<SourcePage> {
         let pfx2as = world.pfx2as();
         let mut out = Vec::new();
-        self.metrics.days.inc();
-        for source in self.due_sources(day) {
+        for source in due_sources_for(&self.config, day) {
             let entries = source_entries(world, source);
             // Streaming generation: walk the entry list in bounded blocks.
             // Each block fans out over the worker cloud, lands as raw rows,
@@ -458,10 +485,7 @@ impl Study {
                     page.push_raw(raw, dict, interner);
                 }
             }
-            let page = page.finish();
-            self.metrics.rows.add(u64::from(page.quality.attempted));
-            self.metrics.data_points.add(page.data_points);
-            out.push(page);
+            out.push(page.finish());
         }
         out
     }
@@ -523,14 +547,10 @@ pub fn sweep_with_path_supervised(
     }
 }
 
-/// Lists every source in Table 1 order (re-export convenience).
-pub fn all_sources() -> [Source; 5] {
-    SOURCES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::SOURCES;
     use dps_ecosystem::ScenarioParams;
 
     /// Runs `config` over `world` into a temp-dir archive and loads it.
@@ -671,5 +691,132 @@ mod tests {
             st.stored_bytes,
             st.raw_bytes
         );
+    }
+
+    /// A fresh temp directory for one driver test.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dps-pipeline-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A `collect` that fails on day `k` — the cluster's "day poisoned"
+    /// path — leaves exactly days `< k` committed, and a healthy re-run
+    /// resumes to the files an uninterrupted run writes.
+    #[test]
+    fn interrupted_day_keeps_the_committed_prefix_and_resumes_byte_identically() {
+        let params = ScenarioParams::tiny(12);
+        let config = StudyConfig {
+            days: 5,
+            cc_start_day: 2,
+            stride: 1,
+        };
+        let k = 3;
+        for shards in [1, 3] {
+            let straight = temp_dir(&format!("straight-{shards}"));
+            let mut world = World::imc2016(params);
+            Study::new(config)
+                .with_shards(shards)
+                .run_archived(&mut world, &straight.join("archive.dps"))
+                .unwrap();
+
+            let resumed = temp_dir(&format!("resumed-{shards}"));
+            let path = resumed.join("archive.dps");
+            let study = Study::new(config);
+            let mut world = World::imc2016(params);
+            let err = run_days(
+                &mut world,
+                &path,
+                &config,
+                shards,
+                None,
+                |world, day, dict, interner| {
+                    if day == k {
+                        return Err(std::io::Error::other("day poisoned"));
+                    }
+                    Ok((
+                        study.collect_day(world, day, dict, interner),
+                        Snapshot::default(),
+                    ))
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err.to_string(), "day poisoned", "shards {shards}");
+            let reader = StoreReader::open_auto(&path).unwrap();
+            let days: std::collections::BTreeSet<u32> =
+                reader.catalog().pages.keys().map(|&(d, _)| d).collect();
+            assert_eq!(days, (0..k).collect(), "shards {shards}");
+            drop(reader);
+
+            let mut world = World::imc2016(params);
+            Study::new(config)
+                .with_shards(shards)
+                .run_archived(&mut world, &path)
+                .unwrap();
+            assert_eq!(dir_bytes(&resumed), dir_bytes(&straight), "shards {shards}");
+            std::fs::remove_dir_all(&straight).ok();
+            std::fs::remove_dir_all(&resumed).ok();
+        }
+    }
+
+    /// An observer that must never see a day.
+    struct Unreachable;
+
+    impl DayObserver for Unreachable {
+        fn on_day(
+            &mut self,
+            day: u32,
+            _: &[SourcePage],
+            _: &StringDict,
+        ) -> std::io::Result<(Table, Vec<(&'static str, u64)>)> {
+            panic!("day {day} measured instead of refused");
+        }
+
+        fn on_resume(&mut self, day: u32, _: &Table) -> std::io::Result<()> {
+            panic!("day {day} has no checkpoint to replay");
+        }
+    }
+
+    /// Resuming an archive written without streaming analysis under an
+    /// observer is refused at the first committed day, and the archive
+    /// is left as it was.
+    #[test]
+    fn resuming_a_plain_archive_with_an_observer_is_refused() {
+        let dir = temp_dir("no-checkpoint");
+        let path = dir.join("archive.dps");
+        let config = StudyConfig {
+            days: 3,
+            cc_start_day: 99,
+            stride: 1,
+        };
+        let params = ScenarioParams::tiny(13);
+        Study::new(config)
+            .run_archived(&mut World::imc2016(params), &path)
+            .unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = Study::new(StudyConfig { days: 4, ..config })
+            .run_archived_observed(&mut World::imc2016(params), &path, Some(&mut Unreachable))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("committed without an analysis checkpoint"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

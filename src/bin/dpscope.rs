@@ -21,12 +21,11 @@
 
 use dps_bench::experiments::{experiment_ids, run, Context, ExperimentConfig};
 use dps_scope::authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
-use dps_scope::measure::collector::{SldInterner, WirePath};
+use dps_scope::measure::collector::WirePath;
 use dps_scope::measure::pipeline::sweep_with_path_supervised;
-use dps_scope::measure::snapshot::UNIQUE_KEY_COLUMN;
 use dps_scope::measure::{
-    append_day, day_committed, due_sources_for, DayObserver, SupervisorConfig, SweepMetrics,
-    ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE,
+    due_sources_for, run_days, DayObserver, SupervisorConfig, SweepMetrics, ANALYSIS_SOURCE,
+    QUALITY_SOURCE, TELEMETRY_SOURCE,
 };
 use dps_scope::netsim::ChaosSchedule;
 use dps_scope::prelude::*;
@@ -127,6 +126,7 @@ fn usage() -> ! {
                           shard files; scans parallelise per shard) when\n\
                           creating a fresh one; resume keeps the existing\n\
                           layout (default 1 = single-file archive.dps)\n\
+                          (not with --workers or --chaos)\n\
            --workers N    measure: sweep with N local worker-agent processes\n\
                           over a Unix socket (archive stays byte-identical)\n\
            --bind ADDR    cluster serve: listen address\n\
@@ -274,6 +274,18 @@ fn cmd_measure(args: CommonArgs) {
         eprintln!("measure requires --archive DIR");
         usage();
     };
+    if args.chaos.is_some() && args.stream {
+        eprintln!("--chaos and --stream are mutually exclusive");
+        usage();
+    }
+    if args.workers > 0 && args.chaos.is_some() {
+        eprintln!("--workers and --chaos are mutually exclusive");
+        usage();
+    }
+    if args.shards > 1 && (args.workers > 0 || args.chaos.is_some()) {
+        eprintln!("--shards is not supported with --workers or --chaos");
+        usage();
+    }
     let params = ScenarioParams {
         seed: args.seed,
         scale: args.scale,
@@ -288,15 +300,7 @@ fn cmd_measure(args: CommonArgs) {
     );
     std::fs::create_dir_all(&archive).expect("create archive dir");
     let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
-    if args.chaos.is_some() && args.stream {
-        eprintln!("--chaos and --stream are mutually exclusive");
-        usage();
-    }
     if args.workers > 0 {
-        if args.chaos.is_some() {
-            eprintln!("--workers and --chaos are mutually exclusive");
-            usage();
-        }
         cmd_measure_cluster(&args, &archive, &path);
         return;
     }
@@ -367,6 +371,7 @@ fn print_stream_summary(engine: &dps_scope::stream::StreamEngine) {
 /// supervisor (backoff, breakers, dead-letter retries). Each day gets a
 /// fresh network whose virtual clock starts at zero, so the schedule
 /// describes faults *within* a day and replays identically every day.
+/// Resume and commit are the shared day loop's, as for every sweep.
 fn cmd_measure_chaos(
     args: &CommonArgs,
     world: &mut World,
@@ -374,67 +379,63 @@ fn cmd_measure_chaos(
     schedule: ChaosSchedule,
 ) {
     let config = study_config(args);
-    let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))
-        .expect("open chaos archive");
-    let mut dict = writer.dict().clone();
-    let mut interner = SldInterner::new();
     let supervisor = SupervisorConfig::default();
-    let mut day = 0u32;
-    while day < args.days {
-        world.advance_to(Day(day));
-        if day_committed(&writer, &config, day) {
-            day += args.stride.max(1);
-            continue;
-        }
-        // One registry per day, like the network itself: the day's
-        // snapshot is self-contained, so an aborted run re-measuring the
-        // day reproduces the identical telemetry page.
-        let registry = Registry::new();
-        let net = Network::with_telemetry(args.seed.wrapping_add(u64::from(day)), &registry);
-        net.set_chaos(schedule.clone());
-        let catalog = world.materialize(&net);
-        let health =
-            Arc::new(HealthTracker::new(HealthConfig::default()).with_telemetry(&registry));
-        let resolver = Resolver::new(
-            &net,
-            "172.16.0.53".parse().unwrap(),
-            u64::from(day),
-            catalog.root_hints(),
-        )
-        .with_config(ResolverConfig::resilient())
-        .with_health(health);
-        let mut wire = WirePath::new(resolver);
-        let sweep_metrics = SweepMetrics::new(&registry);
-        let mut pages = Vec::new();
-        for source in due_sources_for(&config, day) {
-            let page = sweep_with_path_supervised(
-                world,
-                &mut wire,
-                source,
-                day,
-                &mut dict,
-                &mut interner,
-                &supervisor,
-                &sweep_metrics,
-            );
-            let q = &page.quality;
-            println!(
-                "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
-                 recovered {:>4}  trips {:>3}  hedges {:>4}",
-                source.label(),
-                100.0 * q.coverage(),
-                q.attempted,
-                q.failed,
-                q.recovered,
-                q.breaker_trips,
-                q.hedges,
-            );
-            pages.push(page);
-        }
-        append_day(&mut writer, &dict, day, pages, registry.snapshot(), None)
-            .expect("commit chaos day");
-        day += args.stride.max(1);
-    }
+    run_days(
+        world,
+        path,
+        &config,
+        1,
+        None,
+        |world, day, dict, interner| {
+            // One registry per day, like the network itself: the day's
+            // snapshot is self-contained, so an aborted run re-measuring
+            // the day reproduces the identical telemetry page.
+            let registry = Registry::new();
+            let net = Network::with_telemetry(args.seed.wrapping_add(u64::from(day)), &registry);
+            net.set_chaos(schedule.clone());
+            let catalog = world.materialize(&net);
+            let health =
+                Arc::new(HealthTracker::new(HealthConfig::default()).with_telemetry(&registry));
+            let resolver = Resolver::new(
+                &net,
+                "172.16.0.53".parse().expect("resolver address literal"),
+                u64::from(day),
+                catalog.root_hints(),
+            )
+            .with_config(ResolverConfig::resilient())
+            .with_health(health);
+            let mut wire = WirePath::new(resolver);
+            let sweep_metrics = SweepMetrics::new(&registry);
+            let mut pages = Vec::new();
+            for source in due_sources_for(&config, day) {
+                let page = sweep_with_path_supervised(
+                    world,
+                    &mut wire,
+                    source,
+                    day,
+                    dict,
+                    interner,
+                    &supervisor,
+                    &sweep_metrics,
+                );
+                let q = &page.quality;
+                println!(
+                    "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
+                     recovered {:>4}  trips {:>3}  hedges {:>4}",
+                    source.label(),
+                    100.0 * q.coverage(),
+                    q.attempted,
+                    q.failed,
+                    q.recovered,
+                    q.breaker_trips,
+                    q.hedges,
+                );
+                pages.push(page);
+            }
+            Ok((pages, registry.snapshot()))
+        },
+    )
+    .expect("chaos sweep");
     print_archived(path, "");
 }
 

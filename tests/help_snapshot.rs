@@ -72,6 +72,7 @@ day's commit and checkpoint it in the archive\n\
 shard files; scans parallelise per shard) when\n\
 creating a fresh one; resume keeps the existing\n\
 layout (default 1 = single-file archive.dps)\n\
+(not with --workers or --chaos)\n\
 --workers N    measure: sweep with N local worker-agent processes\n\
 over a Unix socket (archive stays byte-identical)\n\
 --bind ADDR    cluster serve: listen address\n\
@@ -114,4 +115,27 @@ fn unknown_command_prints_the_same_help() {
         .expect("spawn dpscope");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: dpscope"));
+}
+
+#[test]
+fn shards_with_workers_or_chaos_is_a_usage_error() {
+    let archive = std::env::temp_dir().join(format!("dps-it-shards-usage-{}", std::process::id()));
+    for extra in [["--workers", "2"], ["--chaos", "degrade@0..inf@loss=0.15"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dpscope"))
+            .args([
+                "measure", "--scale", "0.004", "--days", "2", "--shards", "3",
+            ])
+            .args(extra)
+            .arg("--archive")
+            .arg(&archive)
+            .output()
+            .expect("spawn dpscope measure");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--shards is not supported with --workers or --chaos"),
+            "{stderr}"
+        );
+        assert!(!archive.exists(), "a usage error writes no archive");
+    }
 }

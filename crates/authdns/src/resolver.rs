@@ -193,6 +193,18 @@ pub struct Resolution {
     pub elapsed_us: u64,
 }
 
+impl Default for Resolution {
+    /// An empty `NOERROR` answer: the starting state of a buffer that a
+    /// query path reuses across queries.
+    fn default() -> Self {
+        Self {
+            rcode: Rcode::NoError,
+            answers: Vec::new(),
+            elapsed_us: 0,
+        }
+    }
+}
+
 impl Resolution {
     /// Records of the requested type in the answer chain.
     pub fn records_of(&self, rtype: RrType) -> impl Iterator<Item = &Record> {

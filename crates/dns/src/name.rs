@@ -6,11 +6,30 @@
 //! equality and hashing case-insensitive as required by RFC 1035 §2.3.3 —
 //! the property the detection methodology relies on when matching
 //! second-level domains in `CNAME`/`NS` records.
+//!
+//! ## Representation
+//!
+//! A name of up to [`Name::INLINE_CAPACITY`] wire octets keeps its bytes
+//! inline (a length and a fixed array); a longer one keeps them in a boxed
+//! slice. Every name the simulated world generates fits inline — the
+//! longest, `d4294967295.compute.amazonaws.com.`, is 35 octets — so
+//! building, cloning and dropping those names never touches the heap, and
+//! a `Name` is 40 bytes either way. Constructors build in stack buffers and
+//! pick the representation once, from the final length.
+//!
+//! `Eq`, `Ord` and `Hash` are written by hand over [`Name::as_wire`]
+//! rather than derived: a derive would compare the representation (the
+//! variant, the unused tail of the inline array), not the name. Over the
+//! wire bytes they are exactly what the former `Vec<u8>` field derived,
+//! so every `BTreeMap`/`HashMap` keyed by names — and every archive built
+//! from their iteration order — is unchanged.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::NameError;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum octets of a single label.
@@ -28,16 +47,55 @@ pub const MAX_NAME_LEN: usize = 255;
 /// assert_eq!(a.label_count(), 3);
 /// assert_eq!(a.to_string(), "www.examp.le.");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct Name {
     /// Uncompressed wire form: `\x03www\x05examp\x02le\x00`.
-    wire: Vec<u8>,
+    repr: Repr,
+}
+
+/// Where a [`Name`]'s wire bytes live. A name is inline exactly when its
+/// wire length is at most [`Name::INLINE_CAPACITY`].
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` octets of the array; the rest are zero.
+    Inline(u8, [u8; Name::INLINE_CAPACITY]),
+    Heap(Box<[u8]>),
 }
 
 impl Name {
+    /// Wire octets stored without a heap allocation. Sized so that a
+    /// `Name` — variant tag, length octet and array — is 40 bytes.
+    pub const INLINE_CAPACITY: usize = 38;
+
     /// The root name (`.`).
     pub fn root() -> Self {
-        Self { wire: vec![0] }
+        Self::from_normalised(&[0])
+    }
+
+    /// A name over already-validated, lower-cased wire bytes (labels of at
+    /// most 63 octets, at most 255 octets in all, the root octet last),
+    /// inline when they fit. The wire decoder builds names through here.
+    pub(crate) fn from_normalised(wire: &[u8]) -> Self {
+        debug_assert!(wire.len() <= MAX_NAME_LEN && wire.last() == Some(&0));
+        Self::build(wire.len(), |out| out.copy_from_slice(wire))
+    }
+
+    /// A name of `len` wire octets that `fill` writes (it is handed a
+    /// zeroed slice of exactly `len` octets); inline when `len` fits.
+    fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut inline = [0u8; Self::INLINE_CAPACITY];
+        let repr = match inline.get_mut(..len) {
+            Some(out) => {
+                fill(out);
+                Repr::Inline(len as u8, inline)
+            }
+            None => {
+                let mut heap = vec![0u8; len].into_boxed_slice();
+                fill(&mut heap);
+                Repr::Heap(heap)
+            }
+        };
+        Self { repr }
     }
 
     /// Builds a name from an iterator of label byte-slices, most-specific
@@ -46,7 +104,10 @@ impl Name {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        let mut wire = Vec::with_capacity(32);
+        let mut buf = [0u8; MAX_NAME_LEN];
+        // Counts every octet, including those past the buffer, so an
+        // overlong name reports its full length.
+        let mut len = 0usize;
         for label in labels {
             if label.is_empty() {
                 return Err(NameError::EmptyLabel);
@@ -54,33 +115,28 @@ impl Name {
             if label.len() > MAX_LABEL_LEN {
                 return Err(NameError::LabelTooLong(label.len()));
             }
-            wire.push(label.len() as u8);
-            for &b in label {
-                wire.push(b.to_ascii_lowercase());
+            if let Some((prefix, out)) = buf
+                .get_mut(len..len + 1 + label.len())
+                .and_then(|s| s.split_first_mut())
+            {
+                *prefix = label.len() as u8;
+                lowercase_into(out, label);
             }
+            len += 1 + label.len();
         }
-        wire.push(0);
-        if wire.len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wire.len()));
+        len += 1; // the root octet, already zero in `buf`
+        match buf.get(..len) {
+            Some(wire) => Ok(Self::from_normalised(wire)),
+            None => Err(NameError::NameTooLong(len)),
         }
-        Ok(Self { wire })
-    }
-
-    /// Constructs a name directly from validated uncompressed wire bytes.
-    ///
-    /// Used by the wire decoder, which has already validated structure; this
-    /// still re-checks the length invariants cheaply.
-    pub(crate) fn from_wire_unchecked(wire: Vec<u8>) -> Result<Self, NameError> {
-        if wire.len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wire.len()));
-        }
-        debug_assert_eq!(wire.last(), Some(&0));
-        Ok(Self { wire })
     }
 
     /// The uncompressed wire representation (always ends with `0x00`).
     pub fn as_wire(&self) -> &[u8] {
-        &self.wire
+        match &self.repr {
+            Repr::Inline(len, bytes) => bytes.get(..usize::from(*len)).unwrap_or(&[]),
+            Repr::Heap(bytes) => bytes,
+        }
     }
 
     /// Parses an untrusted uncompressed wire-form name (length-prefixed
@@ -112,9 +168,7 @@ impl Name {
                 }
             }
         }
-        Ok(Self {
-            wire: bytes.to_ascii_lowercase(),
-        })
+        Ok(Self::build(bytes.len(), |out| lowercase_into(out, bytes)))
     }
 
     /// Number of labels, excluding the root label. The root name has 0.
@@ -124,12 +178,14 @@ impl Name {
 
     /// Iterates over the labels, most-specific first.
     pub fn labels(&self) -> Labels<'_> {
-        Labels { rest: &self.wire }
+        Labels {
+            rest: self.as_wire(),
+        }
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.wire.len() == 1
+        self.wire_len() == 1
     }
 
     /// The name with the most-specific label removed; `None` for the root.
@@ -139,25 +195,25 @@ impl Name {
         if self.is_root() {
             return None;
         }
-        let skip = 1 + *self.wire.first()? as usize;
-        Some(Self {
-            wire: self.wire.get(skip..)?.to_vec(),
-        })
+        let wire = self.as_wire();
+        let skip = 1 + usize::from(*wire.first()?);
+        Some(Self::from_normalised(wire.get(skip..)?))
     }
 
     /// True if `self` equals `other` or is underneath it in the tree.
     ///
     /// Every name is a subdomain of the root. `examp.le.` is a subdomain of
     /// `le.` and of itself, but not of `ample.` (comparison is per label, not
-    /// per substring).
+    /// per substring — the single label `\x03amp` under `le.` is not under
+    /// `amp.le.`, though its wire bytes end with that name's).
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        self.wire.ends_with(&other.wire)
+        self.suffix_wire(other.label_count()) == other.as_wire()
     }
 
     /// Prepends a single label: `prepend("www")` on `examp.le.` gives
     /// `www.examp.le.`.
     ///
-    /// Builds the result in one exactly-sized allocation; the label is
+    /// Builds the result in place, inline when it fits; the label is
     /// validated and lower-cased like every [`from_labels`](Self::from_labels)
     /// label.
     pub fn prepend(&self, label: &str) -> Result<Self, NameError> {
@@ -168,15 +224,19 @@ impl Name {
         if label.len() > MAX_LABEL_LEN {
             return Err(NameError::LabelTooLong(label.len()));
         }
-        let len = 1 + label.len() + self.wire.len();
+        let base = self.as_wire();
+        let len = 1 + label.len() + base.len();
         if len > MAX_NAME_LEN {
             return Err(NameError::NameTooLong(len));
         }
-        let mut wire = Vec::with_capacity(len);
-        wire.push(label.len() as u8);
-        wire.extend(label.iter().map(u8::to_ascii_lowercase));
-        wire.extend_from_slice(&self.wire);
-        Ok(Self { wire })
+        Ok(Self::build(len, |out| {
+            let (head, tail) = out.split_at_mut(1 + label.len());
+            if let Some((prefix, lowered)) = head.split_first_mut() {
+                *prefix = label.len() as u8;
+                lowercase_into(lowered, label);
+            }
+            tail.copy_from_slice(base);
+        }))
     }
 
     /// The suffix of `self` keeping only the last `n` labels.
@@ -184,16 +244,14 @@ impl Name {
     /// `www.examp.le.` with `n = 2` gives `examp.le.`; if the name has fewer
     /// than `n` labels the whole name is returned.
     pub fn suffix(&self, n: usize) -> Self {
-        Self {
-            wire: self.suffix_wire(n).to_vec(),
-        }
+        Self::from_normalised(self.suffix_wire(n))
     }
 
     /// The wire form of [`suffix(n)`](Self::suffix), borrowed from `self`
     /// (always ends with the root octet). Compares suffixes — e.g. two
     /// names' SLDs, `suffix_wire(2)` — without building either one.
     pub fn suffix_wire(&self, n: usize) -> &[u8] {
-        let mut rest = self.wire.as_slice();
+        let mut rest = self.as_wire();
         for _ in n..self.label_count() {
             let Some(&len) = rest.first() else { break };
             rest = rest.get(1 + usize::from(len)..).unwrap_or(&[]);
@@ -214,7 +272,43 @@ impl Name {
 
     /// Wire length in octets (including the root octet).
     pub fn wire_len(&self) -> usize {
-        self.wire.len()
+        match &self.repr {
+            Repr::Inline(len, _) => usize::from(*len),
+            Repr::Heap(bytes) => bytes.len(),
+        }
+    }
+}
+
+/// Copies `src` into the equally long `out`, lower-casing ASCII letters.
+pub(crate) fn lowercase_into(out: &mut [u8], src: &[u8]) {
+    for (o, &b) in out.iter_mut().zip(src) {
+        *o = b.to_ascii_lowercase();
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_wire() == other.as_wire()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_wire().cmp(other.as_wire())
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_wire().hash(state);
     }
 }
 
@@ -349,6 +443,34 @@ mod tests {
         assert!(!n("le").is_subdomain_of(&n("examp.le")));
     }
 
+    /// A suffix of the wire bytes is not a suffix of the labels: the one
+    /// label `\x03amp` under `le.` ends with the bytes of `amp.le.`.
+    #[test]
+    fn subdomain_is_label_aligned() {
+        let odd = Name::from_wire(b"\x04\x03amp\x02le\x00").unwrap();
+        assert_eq!(odd.label_count(), 2);
+        assert!(!odd.is_subdomain_of(&n("amp.le")));
+        assert!(odd.is_subdomain_of(&n("le")));
+        assert!(odd.is_subdomain_of(&odd));
+    }
+
+    #[test]
+    fn inline_and_heap_names_behave_alike() {
+        assert_eq!(std::mem::size_of::<Name>(), 40);
+        // 37 octets of labels + the root octet: the largest inline name.
+        let at_cap = Name::from_labels([[b'a'; 36].as_slice()]).unwrap();
+        assert_eq!(at_cap.wire_len(), Name::INLINE_CAPACITY);
+        assert!(matches!(at_cap.repr, Repr::Inline(..)));
+        let over = at_cap.prepend("B").unwrap();
+        assert_eq!(over.wire_len(), Name::INLINE_CAPACITY + 2);
+        assert!(matches!(over.repr, Repr::Heap(_)));
+        assert_eq!(over.parent().unwrap(), at_cap);
+        assert!(matches!(over.parent().unwrap().repr, Repr::Inline(..)));
+        assert_eq!(over.to_string(), format!("b.{}.", "a".repeat(36)));
+        assert!(over.is_subdomain_of(&at_cap));
+        assert_eq!(over.cmp(&at_cap), over.as_wire().cmp(at_cap.as_wire()));
+    }
+
     #[test]
     fn sld_takes_last_two_labels() {
         assert_eq!(n("edge.cdn.incapdns.net").sld(), n("incapdns.net"));
@@ -361,7 +483,7 @@ mod tests {
         assert_eq!(n("examp.le").prepend("www").unwrap(), n("www.examp.le"));
     }
 
-    /// `prepend` builds in one allocation; it must agree with the
+    /// `prepend` builds in place; it must agree with the
     /// `from_labels` route it replaced, errors included.
     #[test]
     fn prepend_matches_from_labels_route() {

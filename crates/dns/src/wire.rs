@@ -11,7 +11,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{NameError, WireError};
-use crate::name::{Name, MAX_NAME_LEN};
+use crate::name::{lowercase_into, Name, MAX_NAME_LEN};
 use crate::rr::{Class, RData, Record, RrType, Soa};
 use bytes::{Buf, BufMut, BytesMut};
 use std::collections::HashMap;
@@ -229,34 +229,42 @@ impl<'a> Decoder<'a> {
 
     /// Decodes a (possibly compressed) domain name at the cursor.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut wire = Vec::with_capacity(32);
+        // Decoded into a stack buffer; `Name` picks inline or heap storage
+        // once the final length is known.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut len = 0usize;
         let mut pos = self.pos;
         let mut followed: Option<usize> = None; // cursor resume point
         let mut hops = 0usize;
 
         loop {
-            let len = *self.msg.get(pos).ok_or(WireError::Truncated)? as usize;
-            match len & 0xC0 {
+            let label_len = *self.msg.get(pos).ok_or(WireError::Truncated)? as usize;
+            match label_len & 0xC0 {
                 0x00 => {
-                    if len == 0 {
-                        wire.push(0);
+                    if label_len == 0 {
+                        // The root octet; `wire` is zero past `len`.
+                        len += 1;
                         pos += 1;
                         break;
                     }
-                    let end = pos + 1 + len;
+                    let end = pos + 1 + label_len;
                     let label = self.msg.get(pos + 1..end).ok_or(WireError::Truncated)?;
-                    wire.push(len as u8);
-                    for &b in label {
-                        wire.push(b.to_ascii_lowercase());
-                    }
-                    if wire.len() > MAX_NAME_LEN {
-                        return Err(WireError::BadName(NameError::NameTooLong(wire.len())));
-                    }
+                    let Some((prefix, out)) = wire
+                        .get_mut(len..len + 1 + label_len)
+                        .and_then(|s| s.split_first_mut())
+                    else {
+                        return Err(WireError::BadName(NameError::NameTooLong(
+                            len + 1 + label_len,
+                        )));
+                    };
+                    *prefix = label_len as u8;
+                    lowercase_into(out, label);
+                    len += 1 + label_len;
                     pos = end;
                 }
                 0xC0 => {
                     let second = *self.msg.get(pos + 1).ok_or(WireError::Truncated)? as usize;
-                    let target = ((len & 0x3F) << 8) | second;
+                    let target = ((label_len & 0x3F) << 8) | second;
                     // Pointers must go strictly backwards: this both matches
                     // every sane encoder and guarantees termination together
                     // with the hop counter.
@@ -277,7 +285,10 @@ impl<'a> Decoder<'a> {
         }
 
         self.pos = followed.unwrap_or(pos);
-        Name::from_wire_unchecked(wire).map_err(WireError::BadName)
+        let wire = wire
+            .get(..len)
+            .ok_or(WireError::BadName(NameError::NameTooLong(len)))?;
+        Ok(Name::from_normalised(wire))
     }
 
     /// Decodes a full resource record at the cursor.

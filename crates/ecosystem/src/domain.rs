@@ -125,7 +125,7 @@ pub(crate) fn id_label(prefix: u8, n: u32, buf: &mut [u8; ID_LABEL_MAX]) -> &str
     std::str::from_utf8(&buf[..len]).expect("ascii label")
 }
 
-/// The apex name `d<id>.<tld>` of domain `id`, in one allocation.
+/// The apex name `d<id>.<tld>` of domain `id`, built in place.
 pub(crate) fn domain_apex(id: DomainId, tld: Tld) -> Name {
     let mut buf = [0; ID_LABEL_MAX];
     let label = id_label(b'd', id.0, &mut buf);

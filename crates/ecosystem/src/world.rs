@@ -104,12 +104,16 @@ struct AnswerNames {
     compute: Name,
     /// Infra SLD wire form → its first index in [`World::infra`].
     infra_index: BTreeMap<Vec<u8>, usize>,
+    /// Records in the longest answer the model gives: an infra apex's
+    /// whole NS set, or a `www` alias's two CNAME hops plus its address.
+    /// [`World::resolve_into`] sizes a reused buffer to it up front.
+    max_answers: usize,
 }
 
 impl AnswerNames {
     fn new(infra: &[InfraDomain]) -> Self {
         let parse = |s: &str| -> Name { s.parse().expect("valid name") };
-        let provider_ns = (0..PROVIDERS.len())
+        let provider_ns: Vec<Vec<_>> = (0..PROVIDERS.len())
             .map(|i| {
                 let p = ProviderId(i as u8);
                 if PROVIDERS[i].ns_labels.is_empty() {
@@ -120,7 +124,7 @@ impl AnswerNames {
                     .collect()
             })
             .collect();
-        let hoster_ns = (0..HOSTERS.len())
+        let hoster_ns: Vec<Vec<_>> = (0..HOSTERS.len())
             .map(|h| {
                 (0..2)
                     .map(|k| World::hoster_ns_host(HosterId(h as u8), k))
@@ -135,6 +139,11 @@ impl AnswerNames {
         for (i, inf) in infra.iter().enumerate() {
             infra_index.entry(inf.sld.as_wire().to_vec()).or_insert(i);
         }
+        let max_answers = provider_ns
+            .iter()
+            .chain(&hoster_ns)
+            .map(Vec::len)
+            .fold(3, usize::max);
         Self {
             provider_ns,
             hoster_ns,
@@ -145,6 +154,7 @@ impl AnswerNames {
             ],
             compute: parse("compute.amazonaws.com"),
             infra_index,
+            max_answers,
         }
     }
 }
@@ -156,7 +166,7 @@ fn host_name(parts: [&str; 2]) -> Name {
         .expect("valid host")
 }
 
-/// `<prefix><id>.<parent>` (e.g. `d42.edgekey.net`) in one allocation.
+/// `<prefix><id>.<parent>` (e.g. `d42.edgekey.net`), built in place.
 fn id_name(prefix: u8, id: DomainId, parent: &Name) -> Name {
     parent
         .prepend(id_label(prefix, id.0, &mut [0; ID_LABEL_MAX]))
@@ -580,13 +590,26 @@ impl World {
     /// Resolves a query against today's world state, producing exactly what
     /// the wire path (root → TLD → authoritative) would produce.
     pub fn resolve(&self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        let mut answers = Vec::new();
-        let rcode = self.answer_into(qname, qtype, &mut answers)?;
-        Ok(Resolution {
-            rcode,
-            answers,
-            elapsed_us: 0,
-        })
+        let mut out = Resolution::default();
+        self.resolve_into(qname, qtype, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`resolve`](Self::resolve) into a caller-owned buffer: `out` is
+    /// overwritten, and its answer storage is reused. The first call sizes
+    /// it for the longest answer this world gives, so a buffer reused
+    /// across queries allocates once.
+    pub fn resolve_into(
+        &self,
+        qname: &Name,
+        qtype: RrType,
+        out: &mut Resolution,
+    ) -> Result<(), ResolveError> {
+        out.answers.clear();
+        out.answers.reserve(self.names.max_answers);
+        out.elapsed_us = 0;
+        out.rcode = self.answer_into(qname, qtype, &mut out.answers)?;
+        Ok(())
     }
 
     /// Core answering logic; appends records and returns the final rcode.

@@ -86,7 +86,9 @@ fn check_dns_wire(input: &[u8]) -> Result<(), String> {
         let back = Decoder::new(&bytes)
             .get_name()
             .map_err(|e| format!("re-encoded name failed to decode: {e:?}"))?;
-        if back != name {
+        // Byte-wise too, so the round trip does not rest only on `Name`'s
+        // hand-written `Eq`.
+        if back != name || back.as_wire() != name.as_wire() {
             return Err(format!("name changed across re-encode: {name} → {back}"));
         }
     }
@@ -419,6 +421,53 @@ mod tests {
             let on_disk = std::fs::read(format!("{dir}{file}")).expect("corpus file");
             assert_eq!(on_disk, bytes, "{file} is stale");
         }
+    }
+
+    /// The `dns_wire`/`dns_message` boundary seeds decode to names on
+    /// both sides of `Name::INLINE_CAPACITY` and at the 255-octet limit,
+    /// and pass their target's check.
+    #[test]
+    fn dns_boundary_corpus_straddles_the_inline_capacity() {
+        let cap = Name::INLINE_CAPACITY;
+        let corpus = |path: &str| {
+            std::fs::read(format!("{}/corpus/{path}", env!("CARGO_MANIFEST_DIR")))
+                .expect("corpus file")
+        };
+        let wire_len = |path: &str| {
+            let bytes = corpus(path);
+            assert_eq!(check_dns_wire(&bytes), Ok(()), "{path}");
+            Decoder::new(&bytes).get_name().expect(path).wire_len()
+        };
+        assert_eq!(wire_len("dns_wire/name-inline-cap.bin"), cap);
+        assert_eq!(wire_len("dns_wire/name-inline-cap-plus1.bin"), cap + 1);
+        assert_eq!(wire_len("dns_wire/name-255.bin"), 255);
+        let chain = corpus("dns_wire/pointer-chain-crosses-inline.bin");
+        assert_eq!(check_dns_wire(&chain), Ok(()));
+        let mut dec = Decoder::new(&chain);
+        let owners: Vec<usize> = (0..3)
+            .map(|_| dec.get_record().expect("chained record").name.wire_len())
+            .collect();
+        assert_eq!(owners, [19, 31, 44]);
+
+        let message = |path: &str| {
+            let bytes = corpus(path);
+            assert_eq!(check_dns_message(&bytes), Ok(()), "{path}");
+            Message::parse(&bytes).expect(path)
+        };
+        let qname_len = |path: &str| message(path).questions[0].qname.wire_len();
+        assert_eq!(qname_len("dns_message/query-inline-cap.bin"), cap);
+        assert_eq!(qname_len("dns_message/query-inline-cap-plus1.bin"), cap + 1);
+        assert_eq!(qname_len("dns_message/query-255.bin"), 255);
+        let msg = message("dns_message/pointer-chain-crosses-inline.bin");
+        let aliases: Vec<usize> = msg
+            .answers
+            .iter()
+            .map(|r| match &r.rdata {
+                RData::Cname(target) => target.wire_len(),
+                other => panic!("expected a CNAME, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(aliases, [31, 44]);
     }
 
     #[test]

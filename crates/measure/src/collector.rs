@@ -38,8 +38,10 @@ impl PathTelemetry {
 /// (iterative resolution over the lossy network) share every other line of
 /// code.
 pub trait QueryPath {
-    /// Resolves `(qname, qtype)` from scratch.
-    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError>;
+    /// Resolves `(qname, qtype)` from scratch. The answer lives in a
+    /// buffer the path owns and overwrites on the next query, so the
+    /// caller reads it before asking again.
+    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<&Resolution, ResolveError>;
 
     /// Advances the path's notion of time without sending — the pause the
     /// supervisor inserts between dead-letter retry passes so transient
@@ -61,38 +63,50 @@ pub trait QueryPath {
 }
 
 /// Direct evaluation against the world (used for full-scale sweeps).
+/// Answers are written into one reused buffer, so a sweep allocates no
+/// answer storage per query.
 pub struct BulkPath<'w> {
     world: &'w World,
+    answer: Resolution,
 }
 
 impl<'w> BulkPath<'w> {
     /// Wraps a world.
     pub fn new(world: &'w World) -> Self {
-        Self { world }
+        Self {
+            world,
+            answer: Resolution::default(),
+        }
     }
 }
 
 impl QueryPath for BulkPath<'_> {
-    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        self.world.resolve(qname, qtype)
+    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<&Resolution, ResolveError> {
+        self.world.resolve_into(qname, qtype, &mut self.answer)?;
+        Ok(&self.answer)
     }
 }
 
 /// Iterative resolution over the simulated network.
 pub struct WirePath {
     resolver: Resolver,
+    answer: Resolution,
 }
 
 impl WirePath {
     /// Wraps an iterative resolver.
     pub fn new(resolver: Resolver) -> Self {
-        Self { resolver }
+        Self {
+            resolver,
+            answer: Resolution::default(),
+        }
     }
 }
 
 impl QueryPath for WirePath {
-    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        self.resolver.resolve(qname, qtype)
+    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<&Resolution, ResolveError> {
+        self.answer = self.resolver.resolve(qname, qtype)?;
+        Ok(&self.answer)
     }
 
     fn pause_us(&mut self, dt_us: u64) {
@@ -116,13 +130,17 @@ impl QueryPath for WirePath {
 /// coalescing amortise packets across domains and sweep days.
 pub struct RecursorPath {
     worker: dps_recursor::RecursorWorker,
+    answer: Resolution,
 }
 
 impl RecursorPath {
     /// Wraps a recursor worker (one per sweeping thread; see
     /// [`dps_recursor::Recursor::worker`]).
     pub fn new(worker: dps_recursor::RecursorWorker) -> Self {
-        Self { worker }
+        Self {
+            worker,
+            answer: Resolution::default(),
+        }
     }
 
     /// UDP queries this path's socket has sent.
@@ -132,8 +150,9 @@ impl RecursorPath {
 }
 
 impl QueryPath for RecursorPath {
-    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        self.worker.resolve(qname, qtype)
+    fn query(&mut self, qname: &Name, qtype: RrType) -> Result<&Resolution, ResolveError> {
+        self.answer = self.worker.resolve(qname, qtype)?;
+        Ok(&self.answer)
     }
 
     fn pause_us(&mut self, dt_us: u64) {
@@ -350,8 +369,10 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
         ..RawRow::default()
     };
 
-    let apex_res = path.query(apex, RrType::A);
-    let apex_res = match apex_res {
+    // Each answer is read before the next query overwrites the path's
+    // buffer; the query order (apex A, www A, AAAA, NS) and the cause
+    // tally order are the sweep's contract with the wire paths.
+    let apex_res = match path.query(apex, RrType::A) {
         Ok(r) => r,
         Err(e) => {
             row.failed = true;
@@ -372,14 +393,10 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
         return row;
     }
     row.data_points += apex_res.answers.len() as u32;
-    row.apex_v4 = v4_of(&apex_res);
+    row.apex_v4 = v4_of(apex_res);
 
     let www = apex.prepend("www").expect("www fits");
-    let www_res = path.query(&www, RrType::A);
-    let aaaa_res = path.query(apex, RrType::Aaaa);
-    let ns_res = path.query(apex, RrType::Ns);
-
-    match &www_res {
+    match path.query(&www, RrType::A) {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
             row.www_v4 = v4_of(res);
@@ -395,7 +412,7 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
         }
     }
     let mut aaaa_addr = None;
-    match &aaaa_res {
+    match path.query(apex, RrType::Aaaa) {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
             aaaa_addr = v6_of(res);
@@ -406,7 +423,7 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
             row.causes.add(e.cause());
         }
     }
-    match &ns_res {
+    match path.query(apex, RrType::Ns) {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
             for rec in res.records_of(RrType::Ns) {

@@ -225,6 +225,7 @@ mod tests {
     struct ScriptedPath {
         script: HashMap<String, Vec<Result<Rcode, ResolveError>>>,
         clock_us: u64,
+        answer: Resolution,
     }
 
     impl ScriptedPath {
@@ -232,6 +233,7 @@ mod tests {
             Self {
                 script: HashMap::new(),
                 clock_us: 0,
+                answer: Resolution::default(),
             }
         }
 
@@ -241,7 +243,7 @@ mod tests {
     }
 
     impl QueryPath for ScriptedPath {
-        fn query(&mut self, qname: &Name, _qtype: RrType) -> Result<Resolution, ResolveError> {
+        fn query(&mut self, qname: &Name, _qtype: RrType) -> Result<&Resolution, ResolveError> {
             let key = qname.to_string();
             let outcome = self
                 .script
@@ -254,11 +256,8 @@ mod tests {
                     }
                 })
                 .unwrap_or(Ok(Rcode::NoError));
-            outcome.map(|rcode| Resolution {
-                rcode,
-                answers: vec![],
-                elapsed_us: 0,
-            })
+            self.answer.rcode = outcome?;
+            Ok(&self.answer)
         }
 
         fn pause_us(&mut self, dt_us: u64) {

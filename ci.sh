@@ -81,13 +81,19 @@ telemetry_smoke() {
 # single-process run of the same seed, verify clean, and leave a
 # readable per-worker provenance sidecar.
 cluster_smoke() {
-    echo "==> smoke: dpscope measure --workers 2 (cluster byte-identity)"
-    rm -rf target/ci-cluster-single target/ci-cluster-multi
+    echo "==> smoke: dpscope measure --workers 2|3 (cluster byte-identity)"
+    rm -rf target/ci-cluster-single target/ci-cluster-multi target/ci-cluster-three
     ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
         --archive target/ci-cluster-single
     ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
         --workers 2 --archive target/ci-cluster-multi
     cmp target/ci-cluster-single/archive.dps target/ci-cluster-multi/archive.dps
+    # Three agents split each source into up to 6 shards (twice the live
+    # agents) instead of 4, so the manager resolves the agents' name
+    # tables under a second unit split.
+    ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
+        --workers 3 --archive target/ci-cluster-three
+    cmp target/ci-cluster-single/archive.dps target/ci-cluster-three/archive.dps
     ./target/release/dpscope store verify target/ci-cluster-multi
     test -s target/ci-cluster-multi/provenance.tsv
     ./target/release/dpscope metrics target/ci-cluster-multi --by-worker \
@@ -95,7 +101,7 @@ cluster_smoke() {
         echo "metrics --by-worker shows no per-worker rows" >&2
         exit 1
     }
-    rm -rf target/ci-cluster-single target/ci-cluster-multi
+    rm -rf target/ci-cluster-single target/ci-cluster-multi target/ci-cluster-three
 }
 
 # Streaming analysis: a --stream sweep must stay byte-identical between

@@ -24,9 +24,10 @@
 //! The load-bearing invariant: for the same seed, `archive.dps` from a
 //! cluster sweep is **byte-for-byte identical** to the single-process
 //! [`dps_measure::Study::run_archived`] output, regardless of worker
-//! count, crashes, or completion order. Workers ship raw rows; only the
-//! manager interns into the run-wide dictionary, in calendar order, and
-//! both paths run the one day loop, `dps_measure::pipeline::run_days`.
+//! count, crashes, or completion order. Workers ship row batches whose
+//! names are references into a per-lease name table; only the manager
+//! interns into the run-wide dictionary, in calendar order, and both
+//! paths run the one day loop, `dps_measure::pipeline::run_days`.
 
 pub mod manager;
 pub mod provenance;

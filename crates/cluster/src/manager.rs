@@ -3,16 +3,21 @@
 //! The manager is the only process that touches `archive.dps`. It runs
 //! the same [`run_days`] loop as the single-process sweep, which owns
 //! resume, the calendar, the sweep-volume counters and the commit; the
-//! manager only supplies the day's collection. Workers collect raw rows
-//! against their own same-seed world and ship them back; the manager
-//! interns every row with the **single** run-wide dictionary and
-//! interner, in deterministic order — the day's [`due_sources_for`]
-//! order, then shard index, then row order within the shard. Dictionary
-//! ids and page bytes are therefore independent of worker count, shard
-//! completion order, and any scheduling decision: the archive is
-//! byte-identical to `Study::run_archived` for the same seed, telemetry
-//! pages included, because the driver derives those counters from the
-//! merged pages rather than from anything a worker reports.
+//! manager only supplies the day's collection. Workers collect rows
+//! against their own same-seed world and ship each lease back as a
+//! [`RowBatch`]: the rows with every name replaced by a reference into
+//! the batch's name table. The connection readers resolve the names the
+//! run-wide interner already knows; the manager interns only the names
+//! left — first-seen ones — with the **single** run-wide dictionary and
+//! interner, in deterministic order (the day's [`due_sources_for`]
+//! order, then shard index), and packs the rows. A table lists names in
+//! first-occurrence order, so this assigns ids exactly as interning
+//! every row serially would. Dictionary ids and page bytes are
+//! therefore independent of worker count, shard completion order, and
+//! any scheduling decision: the archive is byte-identical to
+//! `Study::run_archived` for the same seed, telemetry pages included,
+//! because the driver derives those counters from the merged pages
+//! rather than from anything a worker reports.
 //!
 //! Worker failure is absorbed by the scheduler's dead-letter/epoch
 //! machinery; the manager only ever sees exactly-once unit completion.
@@ -20,16 +25,16 @@
 use crate::scheduler::{Disposition, LeaseGrant, Scheduler, SchedulerConfig, UnitKey, UnitSpec};
 use crate::transport::{Conn, FrameTx};
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
+use dps_columnar::StringDict;
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::collector::{source_entries, RawRow};
+use dps_measure::collector::{source_entries, RowBatch, SldInterner};
 use dps_measure::observation::Source;
-use dps_measure::pipeline::{due_sources_for, run_days, DayObserver, PageBuilder};
+use dps_measure::pipeline::{due_sources_for, run_days, DayObserver, PageBuilder, SourcePage};
 use dps_measure::StudyConfig;
 use dps_telemetry::Snapshot;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 /// Cluster-run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -156,6 +161,9 @@ pub fn serve_observed(
 
     let mut workers: BTreeMap<u32, WorkerConn> = BTreeMap::new();
     let mut next_worker: u32 = 1;
+    // The run-wide interner, lent to the connection readers for the
+    // collection phase of each day.
+    let known: Known = Arc::new(RwLock::new(SldInterner::new()));
 
     run_days(
         &mut world,
@@ -165,29 +173,30 @@ pub fn serve_observed(
         observer,
         |world, day, dict, interner| {
             let due = due_sources_for(&config.study, day);
-            let mut shard_counts: BTreeMap<u8, u32> = BTreeMap::new();
             let mut units = Vec::new();
-            for &source in &due {
+            let mut merge = DayMerge::new(day, &due);
+            for (page, &source) in due.iter().enumerate() {
                 let len = source_len(world, source) as u32;
                 let shards = effective_shards(config.shards_per_source, sched.live_workers(), len);
-                shard_counts.insert(source.index() as u8, shards);
                 for shard in 0..shards {
                     let start = len * shard / shards;
                     let end = len * (shard + 1) / shards;
+                    let key = UnitKey {
+                        source: source.index() as u8,
+                        shard,
+                    };
                     units.push(UnitSpec {
-                        key: UnitKey {
-                            source: source.index() as u8,
-                            shard,
-                        },
+                        key,
                         start,
                         count: end - start,
                     });
+                    merge.order.push((key, page));
                 }
             }
             sched.begin_day(units);
+            *write(&known) = std::mem::take(interner);
 
             let mut grants: BTreeMap<u64, LeaseGrant> = BTreeMap::new();
-            let mut collected: BTreeMap<UnitKey, Vec<RawRow>> = BTreeMap::new();
 
             while !sched.day_done() {
                 for grant in sched.next_grants() {
@@ -233,7 +242,7 @@ pub fn serve_observed(
                                 admitted: false,
                             },
                         );
-                        spawn_reader(id, conn.rx, events_tx.clone());
+                        spawn_reader(id, conn.rx, events_tx.clone(), Arc::clone(&known));
                     }
                     Event::Frame(id, msg) => {
                         handle_frame(
@@ -244,9 +253,10 @@ pub fn serve_observed(
                             &mut sched,
                             &mut workers,
                             &mut grants,
-                            &mut collected,
+                            &mut merge.collected,
                             &mut report,
                         );
+                        merge.advance(dict, &known);
                     }
                     Event::Silence(id) => {
                         if sched.silence(id) {
@@ -259,26 +269,12 @@ pub fn serve_observed(
                     }
                 }
             }
+            merge.advance(dict, &known);
+            *interner = std::mem::take(&mut *write(&known));
             report.dead_letters = sched.dead_letters();
             report.stale_rejected = sched.stale_rejected();
             report.reassigned = sched.reassigned();
-
-            // Merge in deterministic order: due-source order, shard order,
-            // row order — the exact order the single-process sweep interns.
-            let mut pages = Vec::new();
-            for &source in &due {
-                let sid = source.index() as u8;
-                let shards = shard_counts.get(&sid).copied().unwrap_or(1);
-                let mut page = PageBuilder::new(day, source);
-                for shard in 0..shards {
-                    let key = UnitKey { source: sid, shard };
-                    for raw in collected.remove(&key).unwrap_or_default() {
-                        page.push_raw(raw, dict, interner);
-                    }
-                }
-                pages.push(page.finish());
-            }
-            Ok((pages, Snapshot::default()))
+            Ok((merge.finish(), Snapshot::default()))
         },
     )?;
 
@@ -287,6 +283,55 @@ pub fn serve_observed(
     }
     report.workers_admitted = next_worker - 1;
     Ok(ClusterOutcome { report })
+}
+
+/// A day's pages, merged in the one deterministic order — due-source
+/// order, shard order, then each batch's table order, which is the
+/// order in which the single-process sweep first meets each name. A
+/// unit is merged as soon as every unit before it has been, so merging
+/// overlaps the sweeping of later units instead of waiting for the day.
+/// The connection readers have already resolved every name the run
+/// knew when they read the result, so the merge interns only names the
+/// run has never seen and otherwise packs rows.
+struct DayMerge {
+    /// Every unit of the day in merge order, with its page's index.
+    order: Vec<(UnitKey, usize)>,
+    /// How many units of `order` are merged.
+    merged: usize,
+    /// Accepted results not merged yet.
+    collected: BTreeMap<UnitKey, RowBatch>,
+    pages: Vec<PageBuilder>,
+}
+
+impl DayMerge {
+    /// An empty merge of one page per `due` source; the caller lists the
+    /// day's units in `order`.
+    fn new(day: u32, due: &[Source]) -> Self {
+        Self {
+            order: Vec::new(),
+            merged: 0,
+            collected: BTreeMap::new(),
+            pages: due.iter().map(|&s| PageBuilder::new(day, s)).collect(),
+        }
+    }
+
+    /// Merges every collected unit whose predecessors are all merged.
+    fn advance(&mut self, dict: &mut StringDict, known: &Known) {
+        while let Some(&(key, page)) = self.order.get(self.merged) {
+            let Some(batch) = self.collected.remove(&key) else {
+                return;
+            };
+            if let Some(page) = self.pages.get_mut(page) {
+                page.push_batch(batch, dict, &mut write(known));
+            }
+            self.merged += 1;
+        }
+    }
+
+    /// The finished pages, in `due` order.
+    fn finish(self) -> Vec<SourcePage> {
+        self.pages.into_iter().map(PageBuilder::finish).collect()
+    }
 }
 
 /// Handles one decoded frame from worker `id`.
@@ -299,7 +344,7 @@ fn handle_frame(
     sched: &mut Scheduler,
     workers: &mut BTreeMap<u32, WorkerConn>,
     grants: &mut BTreeMap<u64, LeaseGrant>,
-    collected: &mut BTreeMap<UnitKey, Vec<RawRow>>,
+    collected: &mut BTreeMap<UnitKey, RowBatch>,
     report: &mut ClusterReport,
 ) {
     let admitted = workers.get(&id).is_some_and(|w| w.admitted);
@@ -360,7 +405,7 @@ fn handle_result(
     sched: &mut Scheduler,
     workers: &mut BTreeMap<u32, WorkerConn>,
     grants: &mut BTreeMap<u64, LeaseGrant>,
-    collected: &mut BTreeMap<UnitKey, Vec<RawRow>>,
+    collected: &mut BTreeMap<UnitKey, RowBatch>,
     report: &mut ClusterReport,
 ) {
     let Some(&grant) = grants.get(&res.lease) else {
@@ -376,12 +421,13 @@ fn handle_result(
         sched.heartbeat(id);
         return;
     }
-    // Rows arrive as decoded `RawRow`s (names validated by the wire
-    // layer); only the unit shape needs checking before acceptance —
-    // once the scheduler marks a unit Done it will never be re-leased.
+    // Rows arrive as a decoded batch (names and table references
+    // validated by the wire layer); only the unit shape needs checking
+    // before acceptance — once the scheduler marks a unit Done it will
+    // never be re-leased.
     let shape_ok = res.source == grant.unit.key.source
         && res.shard == grant.unit.key.shard
-        && res.rows.len() == grant.unit.count as usize;
+        && res.batch.rows.len() == grant.unit.count as usize;
     if !shape_ok {
         // A malformed unit: treat the worker as faulty; its in-flight
         // unit dead-letters for reassignment.
@@ -389,14 +435,18 @@ fn handle_result(
         workers.remove(&id);
         return;
     }
-    let raws = res.rows;
+    let batch = res.batch;
     match sched.offer_result(id, grant.unit.key, res.lease, res.epoch) {
         Disposition::Stale => {
             grants.remove(&res.lease);
         }
         Disposition::Accept => {
             grants.remove(&res.lease);
-            let data_points: u64 = raws.iter().map(|r| u64::from(r.data_points)).sum();
+            let data_points: u64 = batch
+                .rows
+                .iter()
+                .map(|r| u64::from(r.row.data_points))
+                .sum();
             report.accepted.push(ProvenanceRow {
                 day,
                 source: grant.unit.key.source,
@@ -408,17 +458,45 @@ fn handle_result(
                 rows: grant.unit.count,
                 data_points,
             });
-            collected.insert(grant.unit.key, raws);
+            collected.insert(grant.unit.key, batch);
         }
     }
 }
 
+/// The run-wide interner, shared with the connection readers.
+type Known = Arc<RwLock<SldInterner>>;
+
+/// Write access to the shared interner. A reader that panicked while
+/// reading cannot have left it half-changed, so a poisoned lock is used
+/// as is.
+fn write(known: &Known) -> RwLockWriteGuard<'_, SldInterner> {
+    known.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Reader thread: turns a connection's frames into events. Exits when
 /// the peer vanishes, a frame is malformed, or the event loop is gone.
-fn spawn_reader(id: u32, mut rx: Box<dyn crate::transport::FrameRx>, events: mpsc::Sender<Event>) {
+///
+/// A lease result's names that `known` already holds are resolved here,
+/// while other leases are still being collected, so the manager's merge
+/// interns only the names the run has never seen. `known` only ever
+/// holds ids the dictionary has assigned, and a name it misses is simply
+/// interned by the merge, so the outcome does not depend on when a
+/// result is read.
+fn spawn_reader(
+    id: u32,
+    mut rx: Box<dyn crate::transport::FrameRx>,
+    events: mpsc::Sender<Event>,
+    known: Known,
+) {
     std::thread::spawn(move || loop {
         let event = match rx.recv() {
             Ok(Some(payload)) => match wire::decode(&payload) {
+                Some(Msg::Result(mut res)) => {
+                    if let Ok(view) = known.read() {
+                        res.batch.resolve_known(&view);
+                    }
+                    Event::Frame(id, Msg::Result(res))
+                }
                 Some(msg) => Event::Frame(id, msg),
                 None => {
                     events.send(Event::Closed(id)).ok();

@@ -14,28 +14,35 @@
 //! the decoder to hold that line, mirroring the DNS wire-format tests.
 
 use dps_dns::Name;
-use dps_measure::collector::RawRow;
+use dps_measure::collector::{BatchRow, NameKind, RowBatch, SLOTS, SLOT_KINDS};
+use dps_measure::observation::Row;
 use dps_measure::quality::CauseCounts;
 
 /// First two payload bytes of every message.
 pub const MAGIC: u16 = 0xD5C7;
 /// Protocol version; bumped on any frame-layout change.
-pub const PROTO_VERSION: u8 = 2;
+pub const PROTO_VERSION: u8 = 3;
 /// Upper bound on a single frame's payload. A full-source lease result at
 /// paper scale stays far below this; anything larger is hostile or corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 /// Upper bound on rows in one lease result.
 pub const MAX_ROWS: u32 = 1 << 22;
+/// Upper bound on a lease result's name table, per row: a table lists
+/// each name of the batch once, and a row has [`SLOTS`] name slots.
+pub const MAX_NAMES_PER_ROW: u32 = SLOTS as u32;
 /// Upper bound on one length-prefixed string (the Hello display name;
 /// row names travel in bounded DNS wire form instead).
 pub const MAX_STR: usize = 4096;
 
-// Observation rows cross the wire as [`RawRow`] directly: every name is
-// encoded in its uncompressed DNS wire form (`Name::as_wire`) and decoded
-// through the checked `Name::from_wire`, so no presentation-format
-// rendering or parsing happens on the hot path. A row that decodes equals
-// the row the worker collected, which is what lets the manager intern
-// worker rows exactly as the single-process sweep would.
+// Observation rows cross the wire as a [`RowBatch`]: the rows' scalar
+// fields, a mask of the name slots that hold a name, one table reference
+// per such slot, and the batch's name table, each name once in its
+// uncompressed DNS wire form (`Name::as_wire`, decoded through the
+// checked `Name::from_wire`). An agent has no view of the run-wide
+// dictionary, so every name it ships is a table reference; a final
+// dictionary id cannot be expressed on the wire. A batch that decodes
+// equals the batch the worker built, which is what lets the manager
+// intern its table exactly as the single-process sweep would.
 
 /// A finished lease: the rows the worker collected. Sweep telemetry is
 /// not shipped; the manager derives it from the merged day.
@@ -51,8 +58,9 @@ pub struct LeaseResult {
     pub source: u8,
     /// Shard index within the source.
     pub shard: u32,
-    /// Collected rows, in input-list order.
-    pub rows: Vec<RawRow>,
+    /// Collected rows, in input-list order, built without a dictionary
+    /// view: every name slot is null or marked.
+    pub batch: RowBatch,
 }
 
 /// Every protocol message.
@@ -167,46 +175,43 @@ impl Enc {
         self.buf.extend_from_slice(bytes.get(..len).unwrap_or(&[]));
     }
 
-    /// Optional name as `[tag][u8 wire length][wire bytes]` — the wire
+    /// Table name as `[u8 kind][u8 wire length][wire bytes]` — the wire
     /// form is at most 255 octets by construction.
-    fn opt_name(&mut self, n: &Option<Name>) {
-        match n {
-            None => self.u8(0),
-            Some(name) => {
-                self.u8(1);
-                let wire = name.as_wire();
-                self.u8(wire.len().min(255) as u8);
-                self.buf
-                    .extend_from_slice(wire.get(..wire.len().min(255)).unwrap_or(&[]));
-            }
-        }
+    fn name(&mut self, name: &Name, kind: NameKind) {
+        self.u8(match kind {
+            NameKind::Sld => 0,
+            NameKind::Full => 1,
+        });
+        let wire = name.as_wire();
+        self.u8(wire.len().min(255) as u8);
+        self.buf
+            .extend_from_slice(wire.get(..wire.len().min(255)).unwrap_or(&[]));
     }
 
-    fn row(&mut self, r: &RawRow) {
-        self.u32(r.entry);
-        let flags = u8::from(r.failed) | (u8::from(r.retryable) << 1) | (u8::from(r.aaaa) << 2);
+    /// A row: scalars, the mask of marked slots, then one table
+    /// reference per marked slot. Unmarked slots travel as null.
+    fn row(&mut self, r: &BatchRow) {
+        let row = &r.row;
+        self.u32(row.entry);
+        let flags = u8::from(row.failed) | (u8::from(r.retryable) << 1) | (u8::from(row.aaaa) << 2);
         self.u8(flags);
-        self.u32(r.apex_v4);
-        self.u32(r.www_v4);
-        self.u32(r.asn1);
-        self.u32(r.asn2);
-        self.u32(r.www_asn);
-        self.u32(r.aaaa_asn);
-        self.u32(r.data_points);
+        self.u32(row.apex_v4);
+        self.u32(row.www_v4);
+        self.u32(row.asn1);
+        self.u32(row.asn2);
+        self.u32(row.www_asn);
+        self.u32(row.aaaa_asn);
+        self.u32(row.data_points);
         self.u32(r.causes.timeouts);
         self.u32(r.causes.unreachable);
         self.u32(r.causes.corrupt);
         self.u32(r.causes.servfail);
         self.u32(r.causes.other);
-        self.opt_name(&r.apex);
-        for n in &r.cnames {
-            self.opt_name(n);
-        }
-        for n in &r.ns {
-            self.opt_name(n);
-        }
-        for n in &r.ns_hosts {
-            self.opt_name(n);
+        self.u8(r.marks);
+        for (i, id) in row.name_ids().into_iter().enumerate() {
+            if r.marks & (1 << i) != 0 {
+                self.u32(id);
+            }
         }
     }
 }
@@ -248,21 +253,21 @@ impl<'a> Cur<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
-    /// Optional wire-form name; structural validation happens in
+    /// A table name; structural validation happens in
     /// [`Name::from_wire`].
-    fn opt_name(&mut self) -> Option<Option<Name>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => {
-                let len = usize::from(self.u8()?);
-                let bytes = self.take(len)?;
-                Name::from_wire(bytes).ok().map(Some)
-            }
-            _ => None,
-        }
+    fn name(&mut self) -> Option<(Name, NameKind)> {
+        let kind = match self.u8()? {
+            0 => NameKind::Sld,
+            1 => NameKind::Full,
+            _ => return None,
+        };
+        let len = usize::from(self.u8()?);
+        let name = Name::from_wire(self.take(len)?).ok()?;
+        Some((name, kind))
     }
 
-    fn row(&mut self) -> Option<RawRow> {
+    /// A row whose marked slots refer into `names`.
+    fn row(&mut self, names: &[(Name, NameKind)]) -> Option<BatchRow> {
         let entry = self.u32()?;
         let flags = self.u8()?;
         if flags > 0b111 {
@@ -282,27 +287,42 @@ impl<'a> Cur<'a> {
             servfail: self.u32()?,
             other: self.u32()?,
         };
-        let apex = self.opt_name()?;
-        let cnames = [self.opt_name()?, self.opt_name()?];
-        let ns = [self.opt_name()?, self.opt_name()?];
-        let ns_hosts = [self.opt_name()?, self.opt_name()?];
-        Some(RawRow {
+        let marks = self.u8()?;
+        if marks >> SLOTS != 0 {
+            return None;
+        }
+        let mut row = Row {
             entry,
-            apex,
             apex_v4,
             www_v4,
             aaaa: flags & 0b100 != 0,
-            cnames,
-            ns,
-            ns_hosts,
             asn1,
             asn2,
             www_asn,
             aaaa_asn,
             failed: flags & 0b001 != 0,
             data_points,
+            ..Row::default()
+        };
+        for (i, (id, kind)) in row.name_ids_mut().into_iter().zip(SLOT_KINDS).enumerate() {
+            if marks & (1 << i) == 0 {
+                continue;
+            }
+            // A reference is `1 + index`: 0 would mark a null slot, and an
+            // index must fall inside the table, on a name of the slot's
+            // kind.
+            let reference = self.u32()?;
+            let index = usize::try_from(reference).ok()?.checked_sub(1)?;
+            if names.get(index)?.1 != kind {
+                return None;
+            }
+            *id = reference;
+        }
+        Some(BatchRow {
+            row,
             retryable: flags & 0b010 != 0,
             causes,
+            marks,
         })
     }
 
@@ -367,8 +387,17 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             e.u32(r.day);
             e.u8(r.source);
             e.u32(r.shard);
-            e.u32(r.rows.len().min(MAX_ROWS as usize) as u32);
-            for row in r.rows.iter().take(MAX_ROWS as usize) {
+            let rows = r
+                .batch
+                .rows
+                .get(..MAX_ROWS as usize)
+                .unwrap_or(&r.batch.rows);
+            e.u32(rows.len() as u32);
+            e.u32(r.batch.names.len() as u32);
+            for (name, kind) in &r.batch.names {
+                e.name(name, *kind);
+            }
+            for row in rows {
                 e.row(row);
             }
         }
@@ -423,9 +452,17 @@ pub fn decode(payload: &[u8]) -> Option<Msg> {
             if n_rows > MAX_ROWS {
                 return None;
             }
+            let n_names = c.u32()?;
+            if u64::from(n_names) > u64::from(n_rows) * u64::from(MAX_NAMES_PER_ROW) {
+                return None;
+            }
+            let mut names = Vec::with_capacity(n_names.min(4096) as usize);
+            for _ in 0..n_names {
+                names.push(c.name()?);
+            }
             let mut rows = Vec::with_capacity(n_rows.min(4096) as usize);
             for _ in 0..n_rows {
-                rows.push(c.row()?);
+                rows.push(c.row(&names)?);
             }
             Msg::Result(Box::new(LeaseResult {
                 lease,
@@ -433,7 +470,7 @@ pub fn decode(payload: &[u8]) -> Option<Msg> {
                 day,
                 source,
                 shard,
-                rows,
+                batch: RowBatch { rows, names },
             }))
         }
         T_HEARTBEAT => Msg::Heartbeat { seq: c.u64()? },
@@ -512,6 +549,13 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_measure::collector::{BatchBuilder, RawRow};
+
+    fn sample_batch() -> RowBatch {
+        let mut batch = BatchBuilder::new(None);
+        batch.push(&sample_row());
+        batch.finish()
+    }
 
     fn sample_row() -> RawRow {
         let name = |s: &str| -> Option<Name> { s.parse().ok() };
@@ -571,7 +615,7 @@ mod tests {
                 day: 5,
                 source: 0,
                 shard: 1,
-                rows: vec![sample_row()],
+                batch: sample_batch(),
             })),
             Msg::Heartbeat { seq: 99 },
             Msg::Reject { lease: 4, epoch: 1 },
@@ -613,7 +657,7 @@ mod tests {
             day: 0,
             source: 0,
             shard: 0,
-            rows: vec![sample_row()],
+            batch: sample_batch(),
         }));
         let bytes = encode(&msg);
         // Find the apex name's first label length (the "examp" label, 5)

@@ -15,7 +15,7 @@
 use crate::transport::Conn;
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::collector::{collect_entries, source_entries, RawRow};
+use dps_measure::collector::{collect_entries, source_entries, RowBatch};
 use dps_measure::observation::Source;
 use dps_netsim::Day;
 use std::io;
@@ -166,16 +166,16 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
                 let swept = sweep_lease(&mut world, params, day, source, start, count);
                 let msg = match swept {
                     None => Msg::Reject { lease, epoch },
-                    Some(rows) => {
+                    Some(batch) => {
                         summary.leases += 1;
-                        summary.rows += rows.len() as u64;
+                        summary.rows += batch.rows.len() as u64;
                         Msg::Result(Box::new(LeaseResult {
                             lease,
                             epoch,
                             day,
                             source,
                             shard,
-                            rows,
+                            batch,
                         }))
                     }
                 };
@@ -200,8 +200,10 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
     outcome.map(|()| summary)
 }
 
-/// Sweeps one leased entry range; `None` when the lease is out of bounds
-/// for the named day/source (the manager dead-letters it).
+/// Sweeps one leased entry range into one batch; `None` when the lease
+/// is out of bounds for the named day/source (the manager dead-letters
+/// it). The agent has no view of the manager's dictionary, so every name
+/// goes into the batch's table.
 fn sweep_lease(
     world: &mut World,
     params: ScenarioParams,
@@ -209,7 +211,7 @@ fn sweep_lease(
     source: u8,
     start: u32,
     count: u32,
-) -> Option<Vec<RawRow>> {
+) -> Option<RowBatch> {
     let source = Source::from_index(u32::from(source))?;
     if day >= params.gtld_days {
         return None;
@@ -218,6 +220,10 @@ fn sweep_lease(
     let entries = source_entries(world, source);
     let end = (start as usize).checked_add(count as usize)?;
     let slice = entries.get(start as usize..end)?;
-    let rows = collect_entries(world, slice, &world.pfx2as());
-    Some(rows.into_iter().flatten().collect())
+    let mut batches = collect_entries(world, slice, &world.pfx2as(), None).into_iter();
+    let mut lease = batches.next().unwrap_or_default();
+    for batch in batches {
+        lease.append(batch);
+    }
+    Some(lease)
 }

@@ -3,9 +3,9 @@
 //! encode → decode round trip, and the decoder never panics — or
 //! accepts — truncated or bit-flipped frames.
 
-use dps_cluster::wire::{self, LeaseResult, Msg, PROTO_VERSION};
+use dps_cluster::wire::{self, LeaseResult, Msg, MAX_NAMES_PER_ROW, PROTO_VERSION};
 use dps_dns::Name;
-use dps_measure::collector::RawRow;
+use dps_measure::collector::{BatchBuilder, NameKind, RawRow, RowBatch};
 use dps_measure::quality::CauseCounts;
 use proptest::prelude::*;
 
@@ -78,6 +78,16 @@ fn arb_row() -> impl Strategy<Value = RawRow> {
         })
 }
 
+/// A batch as an agent builds it: no dictionary view, so every name is
+/// a table reference.
+fn batch_of(rows: &[RawRow]) -> RowBatch {
+    let mut batch = BatchBuilder::new(None);
+    for row in rows {
+        batch.push(row);
+    }
+    batch.finish()
+}
+
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         proptest::string::string_regex("[ -~]{0,24}")
@@ -138,7 +148,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     day,
                     source,
                     shard,
-                    rows,
+                    batch: batch_of(&rows),
                 }))
             }),
         any::<u64>().prop_map(|seq| Msg::Heartbeat { seq }),
@@ -223,12 +233,10 @@ proptest! {
     }
 }
 
-/// Exhaustive, deterministic complement to the random truncations: a
-/// realistic lease-result frame must be rejected — without panicking —
-/// when cut at *every* possible byte boundary.
-#[test]
-fn every_prefix_of_a_result_frame_is_rejected() {
-    let row = RawRow {
+/// A realistic collected row: an apex, a CNAME target, two NS hosts
+/// under one SLD.
+fn sample_row() -> RawRow {
+    RawRow {
         entry: 7,
         apex: Some("www.example.com".parse().expect("name")),
         apex_v4: 0x0a00_0001,
@@ -236,7 +244,10 @@ fn every_prefix_of_a_result_frame_is_rejected() {
         aaaa: true,
         cnames: [Some("edge.example.net".parse().expect("name")), None],
         ns: [Some("ns1.example.net".parse().expect("name")), None],
-        ns_hosts: [None, None],
+        ns_hosts: [
+            Some("ns1.example.net".parse().expect("name")),
+            Some("ns2.example.net".parse().expect("name")),
+        ],
         asn1: 64500,
         asn2: 64501,
         www_asn: 64502,
@@ -245,18 +256,104 @@ fn every_prefix_of_a_result_frame_is_rejected() {
         data_points: 9,
         retryable: false,
         causes: CauseCounts::default(),
-    };
-    let msg = Msg::Result(Box::new(LeaseResult {
+    }
+}
+
+fn result_of(batch: RowBatch) -> Msg {
+    Msg::Result(Box::new(LeaseResult {
         lease: 42,
         epoch: 3,
         day: 1,
         source: 0,
         shard: 2,
-        rows: vec![row],
-    }));
+        batch,
+    }))
+}
+
+/// Exhaustive, deterministic complement to the random truncations: a
+/// realistic lease-result frame must be rejected — without panicking —
+/// when cut at *every* possible byte boundary.
+#[test]
+fn every_prefix_of_a_result_frame_is_rejected() {
+    let msg = result_of(batch_of(&[sample_row(), sample_row()]));
     let payload = wire::encode(&msg);
     assert_eq!(wire::decode(&payload), Some(msg));
     for keep in 0..payload.len() {
         assert_eq!(wire::decode(&payload[..keep]), None, "prefix {keep}");
     }
+}
+
+/// Two rows with the same names ship one table entry per (name, kind),
+/// and the same host in an `ns` and an `nsh` slot is listed once per
+/// kind.
+#[test]
+fn a_result_lists_each_name_once_per_kind() {
+    let batch = batch_of(&[sample_row(), sample_row()]);
+    let host: Name = "ns1.example.net".parse().expect("name");
+    let kinds: Vec<NameKind> = batch
+        .names
+        .iter()
+        .filter(|(n, _)| *n == host)
+        .map(|&(_, k)| k)
+        .collect();
+    assert_eq!(kinds, [NameKind::Sld, NameKind::Full]);
+    assert_eq!(batch.names.len(), 5);
+    assert_eq!(batch.rows[0], batch.rows[1]);
+}
+
+/// The decoder refuses a table reference at or past the table's end, a
+/// table larger than its per-row cap, a marked slot that holds no
+/// reference (0, the null slot), and a reference to a name of the wrong
+/// kind.
+#[test]
+fn malformed_name_tables_are_rejected() {
+    let good = batch_of(&[sample_row()]);
+    assert_eq!(
+        wire::decode(&wire::encode(&result_of(good.clone()))),
+        Some(result_of(good.clone()))
+    );
+    let rejected = |batch: RowBatch, what: &str| {
+        assert_eq!(
+            wire::decode(&wire::encode(&result_of(batch))),
+            None,
+            "{what}"
+        );
+    };
+
+    // References are `1 + index`: `len + 1` is the index at the end.
+    let len = good.names.len() as u32;
+    for past in [len + 1, len + 2, u32::MAX] {
+        let mut batch = good.clone();
+        batch.rows[0].row.cname1 = past;
+        rejected(batch, &format!("reference {past} into a table of {len}"));
+    }
+
+    let mut batch = good.clone();
+    let cap = (batch.rows.len() as u32 * MAX_NAMES_PER_ROW) as usize;
+    while batch.names.len() <= cap {
+        batch
+            .names
+            .push(("pad.example".parse().expect("name"), NameKind::Sld));
+    }
+    rejected(batch, "table over its cap");
+
+    let mut batch = good.clone();
+    batch.rows[0].row.cname1 = 0;
+    rejected(batch, "marker on a null slot");
+
+    // cname2 is null in the sample row; mark it anyway.
+    let mut batch = good.clone();
+    assert_eq!(batch.rows[0].marks & 0b10, 0);
+    batch.rows[0].marks |= 0b10;
+    rejected(batch, "marker on a null slot");
+
+    // nsh1 is a full-host slot; point it at the SLD-kind entry 1.
+    let mut batch = good.clone();
+    assert_eq!(batch.names[0].1, NameKind::Sld);
+    batch.rows[0].row.nsh1 = 1;
+    rejected(batch, "reference to a name of the wrong kind");
+
+    let mut batch = good;
+    batch.rows[0].marks |= 0b1000_0000;
+    rejected(batch, "marker past the seventh slot");
 }

@@ -19,6 +19,7 @@ use dps_authdns::zonefile;
 use dps_cluster::wire as cluster_wire;
 use dps_dns::wire::{Decoder, Encoder};
 use dps_dns::{Class, Message, Name, Question, RData, Record, RrType};
+use dps_measure::collector::{BatchBuilder, RawRow};
 use dps_store::catalog::{CatalogDelta, PageMeta};
 use std::collections::BTreeSet;
 
@@ -354,6 +355,35 @@ fn check_cluster_frame(input: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// A lease result carrying a name table: two rows whose apexes share an
+/// NS host, listed once as an SLD and once as a full host name.
+fn result_seed() -> cluster_wire::Msg {
+    let name = |s: &str| s.parse::<Name>().ok();
+    let mut batch = BatchBuilder::new(None);
+    for apex in ["d1.com", "d2.com"] {
+        batch.push(&RawRow {
+            entry: 2,
+            apex: name(apex),
+            apex_v4: 0x0a00_0001,
+            www_v4: 0x0a00_0001,
+            cnames: [name("d1.cdn.cloudflare.net"), None],
+            ns: [name("kate.ns.cloudflare.com"), None],
+            ns_hosts: [name("kate.ns.cloudflare.com"), None],
+            asn1: 13335,
+            data_points: 5,
+            ..RawRow::default()
+        });
+    }
+    cluster_wire::Msg::Result(Box::new(cluster_wire::LeaseResult {
+        lease: 1,
+        epoch: 1,
+        day: 0,
+        source: 0,
+        shard: 0,
+        batch: batch.finish(),
+    }))
+}
+
 fn seeds_cluster_frame() -> Vec<Vec<u8>> {
     let msgs = [
         cluster_wire::Msg::Hello {
@@ -362,6 +392,7 @@ fn seeds_cluster_frame() -> Vec<Vec<u8>> {
         },
         cluster_wire::Msg::Heartbeat { seq: 7 },
         cluster_wire::Msg::Bye,
+        result_seed(),
     ];
     let mut seeds = Vec::new();
     for m in &msgs {
@@ -412,11 +443,14 @@ mod tests {
             name: "local".to_string(),
         });
         let heartbeat = cluster_wire::encode(&cluster_wire::Msg::Heartbeat { seq: 7 });
+        let result = cluster_wire::encode(&result_seed());
         for (file, bytes) in [
             ("hello.bin", hello.clone()),
             ("heartbeat.bin", heartbeat.clone()),
+            ("result.bin", result.clone()),
             ("hello-framed.bin", cluster_wire::frame(&hello)),
             ("heartbeat-framed.bin", cluster_wire::frame(&heartbeat)),
+            ("result-framed.bin", cluster_wire::frame(&result)),
         ] {
             let on_disk = std::fs::read(format!("{dir}{file}")).expect("corpus file");
             assert_eq!(on_disk, bytes, "{file} is stale");

@@ -7,7 +7,7 @@ use dps_columnar::StringDict;
 use dps_dns::{Name, RData, Rcode, RrType};
 use dps_ecosystem::{World, ZoneEntry};
 use dps_netsim::Pfx2As;
-// dps: allow-file(unordered-collection, reason = "SldInterner's caches are keyed lookups only, never iterated; dictionary ids are assigned by StringDict in first-intern order, so hash order cannot leak into output")
+// dps: allow-file(unordered-collection, reason = "SldInterner's caches and BatchBuilder's table index are keyed lookups only, never iterated; dictionary ids are assigned by StringDict in first-intern order and table entries in first-occurrence order, so hash order cannot leak into output")
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -219,6 +219,26 @@ impl SldInterner {
         self.full_cache.insert(name.clone(), id);
         id
     }
+
+    /// [`intern`](Self::intern) or [`intern_full`](Self::intern_full),
+    /// by `kind`.
+    pub fn intern_kind(&mut self, dict: &mut StringDict, name: &Name, kind: NameKind) -> u32 {
+        match kind {
+            NameKind::Sld => self.intern(dict, name),
+            NameKind::Full => self.intern_full(dict, name),
+        }
+    }
+
+    /// The id `name` was already interned under as `kind`, if any. This
+    /// is the read-only view collection workers share: a name it knows
+    /// needs no dictionary work from the manager.
+    pub fn lookup(&self, name: &Name, kind: NameKind) -> Option<u32> {
+        match kind {
+            NameKind::Sld => self.cache.get(name),
+            NameKind::Full => self.full_cache.get(name),
+        }
+        .copied()
+    }
 }
 
 /// The presentation form of wire-form name bytes without the trailing
@@ -310,42 +330,263 @@ pub struct RawRow {
 impl RawRow {
     /// Dictionary-encodes into a packed [`Row`] (manager-thread step).
     pub fn intern(self, dict: &mut StringDict, interner: &mut SldInterner) -> Row {
-        let mut pick =
-            |name: &Option<Name>| name.as_ref().map(|n| interner.intern(dict, n)).unwrap_or(0);
-        let [cname1_n, cname2_n] = &self.cnames;
-        let [ns1_n, ns2_n] = &self.ns;
-        let cname1 = pick(cname1_n);
-        let cname2 = pick(cname2_n);
-        let ns1 = pick(ns1_n);
-        let ns2 = pick(ns2_n);
-        let sld = pick(&self.apex);
-        let mut pick_full = |name: &Option<Name>| {
-            name.as_ref()
-                .map(|n| interner.intern_full(dict, n))
-                .unwrap_or(0)
-        };
-        let [nsh1_n, nsh2_n] = &self.ns_hosts;
-        let nsh1 = pick_full(nsh1_n);
-        let nsh2 = pick_full(nsh2_n);
+        let mut row = self.bare_row();
+        for ((id, name), kind) in row
+            .name_ids_mut()
+            .into_iter()
+            .zip(self.slot_names())
+            .zip(SLOT_KINDS)
+        {
+            if let Some(name) = name {
+                *id = interner.intern_kind(dict, name, kind);
+            }
+        }
+        row
+    }
+
+    /// The row's names in interning order (see [`SLOT_KINDS`]): the one
+    /// definition of the order every dictionary id is assigned in.
+    fn slot_names(&self) -> [Option<&Name>; SLOTS] {
+        let [cname1, cname2] = &self.cnames;
+        let [ns1, ns2] = &self.ns;
+        let [nsh1, nsh2] = &self.ns_hosts;
+        [
+            cname1.as_ref(),
+            cname2.as_ref(),
+            ns1.as_ref(),
+            ns2.as_ref(),
+            self.apex.as_ref(),
+            nsh1.as_ref(),
+            nsh2.as_ref(),
+        ]
+    }
+
+    /// The scalar fields as a [`Row`] whose name columns are all 0.
+    fn bare_row(&self) -> Row {
         Row {
             entry: self.entry,
-            sld,
             apex_v4: self.apex_v4,
             www_v4: self.www_v4,
             aaaa: self.aaaa,
-            cname1,
-            cname2,
-            ns1,
-            ns2,
-            nsh1,
-            nsh2,
             asn1: self.asn1,
             asn2: self.asn2,
             www_asn: self.www_asn,
             aaaa_asn: self.aaaa_asn,
             failed: self.failed,
             data_points: self.data_points,
+            ..Row::default()
         }
+    }
+}
+
+/// Which dictionary string a name is interned as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NameKind {
+    /// Its registered domain ([`SldInterner::intern`]).
+    Sld,
+    /// The full host name ([`SldInterner::intern_full`]).
+    Full,
+}
+
+/// Name slots per row.
+pub const SLOTS: usize = 7;
+
+/// The kind of each name slot, in interning order: the two CNAME
+/// targets, the two NS SLDs and the apex are interned by registered
+/// domain, the two NS hosts verbatim. [`Row::name_ids`] lists the
+/// columns in the same order.
+pub const SLOT_KINDS: [NameKind; SLOTS] = [
+    NameKind::Sld,
+    NameKind::Sld,
+    NameKind::Sld,
+    NameKind::Sld,
+    NameKind::Sld,
+    NameKind::Full,
+    NameKind::Full,
+];
+
+/// One row of a [`RowBatch`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchRow {
+    /// The packed row. A name column ([`Row::name_ids`]) whose slot is
+    /// marked in `marks` holds `1 + index` into the batch's name table;
+    /// any other holds its final dictionary id (0 = no name).
+    pub row: Row,
+    /// Some query failed transiently ([`RawRow::retryable`]).
+    pub retryable: bool,
+    /// Per-cause failure tally.
+    pub causes: CauseCounts,
+    /// Bit `i` set: name slot `i` refers to the name table.
+    pub marks: u8,
+}
+
+/// What a name-table reference becomes when a batch is (partly)
+/// resolved.
+#[derive(Debug, Clone, Copy)]
+enum Resolved {
+    /// A final dictionary id; the slot is no longer marked.
+    Id(u32),
+    /// Another table reference.
+    Ref(u32),
+}
+
+impl BatchRow {
+    /// Rewrites every marked slot's table reference through `map`.
+    fn remap(&mut self, map: impl Fn(u32) -> Resolved) {
+        let marks = self.marks;
+        for (i, id) in self.row.name_ids_mut().into_iter().enumerate() {
+            if marks & (1 << i) == 0 {
+                continue;
+            }
+            match map(*id) {
+                Resolved::Id(final_id) => {
+                    *id = final_id;
+                    self.marks &= !(1 << i);
+                }
+                Resolved::Ref(reference) => *id = reference,
+            }
+        }
+    }
+}
+
+/// Collected rows, dictionary-encoded as far as a worker can without
+/// touching the shared dictionary. Names a read-only view of the
+/// run-wide interner already knows carry their final id; every other
+/// name is listed once in `names`, in first-occurrence order (rows in
+/// order, slots in [`SLOT_KINDS`] order), and referenced from the rows.
+/// Interning `names` in order assigns new dictionary ids exactly as
+/// interning every row serially would, so the dictionary does not
+/// depend on how the rows were split into batches.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowBatch {
+    /// The rows, in input-list order.
+    pub rows: Vec<BatchRow>,
+    /// The names the rows' marked slots refer to.
+    pub names: Vec<(Name, NameKind)>,
+}
+
+impl RowBatch {
+    /// Appends `other` after this batch's rows, shifting its table
+    /// references past this batch's table. A name both tables hold is
+    /// listed twice; interning it twice yields the same id.
+    pub fn append(&mut self, other: RowBatch) {
+        let shift = self.names.len() as u32;
+        self.rows.extend(other.rows.into_iter().map(|mut row| {
+            row.remap(|reference| Resolved::Ref(reference + shift));
+            row
+        }));
+        self.names.extend(other.names);
+    }
+
+    /// Resolves every name `view` already knows to its id and drops it
+    /// from the table. The names left keep their order, so interning
+    /// them still assigns new ids as serial interning would.
+    pub fn resolve_known(&mut self, view: &SldInterner) {
+        let mut map = Vec::with_capacity(self.names.len() + 1);
+        map.push(Resolved::Id(0));
+        let mut unknown = Vec::new();
+        for (name, kind) in std::mem::take(&mut self.names) {
+            map.push(match view.lookup(&name, kind) {
+                Some(id) => Resolved::Id(id),
+                None => {
+                    unknown.push((name, kind));
+                    Resolved::Ref(unknown.len() as u32)
+                }
+            });
+        }
+        self.names = unknown;
+        for row in &mut self.rows {
+            row.remap(|reference| {
+                map.get(reference as usize)
+                    .copied()
+                    .unwrap_or(Resolved::Id(0))
+            });
+        }
+    }
+
+    /// Interns the name table into `dict` in order, then resolves every
+    /// row's marked slots against it (the manager-side step).
+    pub fn resolve(
+        self,
+        dict: &mut StringDict,
+        interner: &mut SldInterner,
+    ) -> impl Iterator<Item = BatchRow> {
+        let ids: Vec<u32> = std::iter::once(0)
+            .chain(
+                self.names
+                    .iter()
+                    .map(|(name, kind)| interner.intern_kind(dict, name, *kind)),
+            )
+            .collect();
+        self.rows.into_iter().map(move |mut row| {
+            row.remap(|reference| Resolved::Id(ids.get(reference as usize).copied().unwrap_or(0)));
+            row
+        })
+    }
+}
+
+/// Builds a [`RowBatch`] row by row, looking names up in an optional
+/// read-only view of the run-wide interner.
+pub struct BatchBuilder<'v> {
+    view: Option<&'v SldInterner>,
+    batch: RowBatch,
+    /// Table position + 1 of every name listed so far, SLD kind first.
+    listed: [HashMap<Name, u32>; 2],
+}
+
+impl<'v> BatchBuilder<'v> {
+    /// An empty batch. Without a `view` every name goes into the table.
+    pub fn new(view: Option<&'v SldInterner>) -> Self {
+        Self {
+            view,
+            batch: RowBatch::default(),
+            listed: [HashMap::new(), HashMap::new()],
+        }
+    }
+
+    /// Appends `raw` as the next row.
+    pub fn push(&mut self, raw: &RawRow) {
+        let mut row = raw.bare_row();
+        let mut marks = 0u8;
+        for (i, ((id, name), kind)) in row
+            .name_ids_mut()
+            .into_iter()
+            .zip(raw.slot_names())
+            .zip(SLOT_KINDS)
+            .enumerate()
+        {
+            let Some(name) = name else { continue };
+            if let Some(known) = self.view.and_then(|v| v.lookup(name, kind)) {
+                *id = known;
+                continue;
+            }
+            let [sld, full] = &mut self.listed;
+            let listed = match kind {
+                NameKind::Sld => sld,
+                NameKind::Full => full,
+            };
+            *id = match listed.get(name) {
+                Some(&reference) => reference,
+                None => {
+                    self.batch.names.push((name.clone(), kind));
+                    let reference = self.batch.names.len() as u32;
+                    listed.insert(name.clone(), reference);
+                    reference
+                }
+            };
+            marks |= 1 << i;
+        }
+        self.batch.rows.push(BatchRow {
+            row,
+            retryable: raw.retryable,
+            causes: raw.causes,
+            marks,
+        });
+    }
+
+    /// The finished batch.
+    pub fn finish(self) -> RowBatch {
+        self.batch
     }
 }
 
@@ -473,24 +714,30 @@ pub fn source_entries(world: &World, source: Source) -> Arc<Vec<ZoneEntry>> {
     }
 }
 
-/// Collects raw rows for `entries` over the bulk path on the worker
-/// cloud (paper Fig. 1): one map task per contiguous chunk of the slice,
-/// one chunk per worker. Each chunk's rows come back in entry order, so
-/// flattening the result keeps list order. The single-process sweep and
+/// Collects `entries` over the bulk path on the worker cloud (paper
+/// Fig. 1): one map task per contiguous chunk of the slice, one chunk per
+/// worker, each returning its rows as one [`RowBatch`] in entry order, so
+/// the batches in order keep list order. Names `view` already knows are
+/// encoded on the workers; without a view (a cluster agent has none)
+/// every name goes into the batch's table. The single-process sweep and
 /// the cluster worker's leases both collect through here.
-pub fn collect_entries(world: &World, entries: &[ZoneEntry], pfx2as: &Pfx2As) -> Vec<Vec<RawRow>> {
+pub fn collect_entries(
+    world: &World,
+    entries: &[ZoneEntry],
+    pfx2as: &Pfx2As,
+    view: Option<&SldInterner>,
+) -> Vec<RowBatch> {
     let workers = dps_columnar::mapreduce::default_workers().max(1);
     let chunk = entries.len().div_ceil(workers).max(1);
     let chunks: Vec<&[ZoneEntry]> = entries.chunks(chunk).collect();
-    dps_columnar::mapreduce::par_map(&chunks, |batch| {
+    dps_columnar::mapreduce::par_map(&chunks, |chunk| {
         let mut path = BulkPath::new(world);
-        batch
-            .iter()
-            .map(|&entry| {
-                let apex = world.entry_name(entry);
-                collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
-            })
-            .collect()
+        let mut batch = BatchBuilder::new(view);
+        for &entry in chunk.iter() {
+            let apex = world.entry_name(entry);
+            batch.push(&collect_raw(&mut path, &apex, entry_code(entry), pfx2as));
+        }
+        batch.finish()
     })
 }
 

@@ -97,7 +97,7 @@ pub fn decode_entry(code: u32) -> dps_ecosystem::ZoneEntry {
 }
 
 /// One collected and supplemented measurement row, pre-dictionary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Row {
     /// Zone-entry code.
     pub entry: u32,
@@ -138,6 +138,34 @@ pub struct Row {
 }
 
 impl Row {
+    /// The seven dictionary-id columns in interning order: `cname1`,
+    /// `cname2`, `ns1`, `ns2`, `sld`, `nsh1`, `nsh2` (the kinds are
+    /// [`SLOT_KINDS`](crate::collector::SLOT_KINDS)).
+    pub fn name_ids(&self) -> [u32; 7] {
+        [
+            self.cname1,
+            self.cname2,
+            self.ns1,
+            self.ns2,
+            self.sld,
+            self.nsh1,
+            self.nsh2,
+        ]
+    }
+
+    /// [`name_ids`](Self::name_ids), writable.
+    pub fn name_ids_mut(&mut self) -> [&mut u32; 7] {
+        [
+            &mut self.cname1,
+            &mut self.cname2,
+            &mut self.ns1,
+            &mut self.ns2,
+            &mut self.sld,
+            &mut self.nsh1,
+            &mut self.nsh2,
+        ]
+    }
+
     /// Packs into schema order for a given day/source.
     pub fn pack(&self, day: u32, source: Source) -> [u32; 18] {
         [

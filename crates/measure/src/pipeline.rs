@@ -9,12 +9,16 @@
 //! the sweep-volume counters and the commit live in the driver.
 //!
 //! On multi-core machines the per-day sweep fans the input list out over a
-//! crossbeam worker cloud; collected rows are merged and dictionary-encoded
-//! by the manager thread, mirroring the collection/aggregation split of the
-//! real system.
+//! crossbeam worker cloud, mirroring the collection/aggregation split of
+//! the real system. Workers encode every name the run-wide interner
+//! already knows and list the rest in a [`RowBatch`] name table; the
+//! manager thread interns only those first-seen names, in list order, and
+//! packs the rows ([`PageBuilder::push_batch`]). The dictionary is the one
+//! serial interning would build, whatever the chunking or worker count.
 
 use crate::collector::{
-    collect_entries, collect_raw, source_entries, QueryPath, RawRow, SldInterner,
+    collect_entries, collect_raw, source_entries, BatchBuilder, BatchRow, QueryPath, RawRow,
+    RowBatch, SldInterner,
 };
 use crate::observation::{entry_code, schema, Source};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
@@ -317,10 +321,11 @@ where
     Ok(())
 }
 
-/// Folds one (day, source) sweep's raw rows into a [`SourcePage`]: rows
-/// are interned and packed in arrival order, and the day's quality record
-/// is tallied as they stream past. The single-process sweep, the cluster
-/// manager and the wire-path sweeps all build their pages through it.
+/// Folds one (day, source) sweep's collected rows into a [`SourcePage`]:
+/// batches are interned and packed in arrival order, and the day's
+/// quality record is tallied as they stream past. The single-process
+/// sweep, the cluster manager and the wire-path sweeps all build their
+/// pages through it.
 pub struct PageBuilder {
     day: u32,
     source: Source,
@@ -345,14 +350,36 @@ impl PageBuilder {
         }
     }
 
-    /// Interns `raw` into `dict` and appends it as the next row.
+    /// Interns `raw` into `dict` and appends it as the next row: a
+    /// one-row [`push_batch`](Self::push_batch).
     pub fn push_raw(&mut self, raw: RawRow, dict: &mut StringDict, interner: &mut SldInterner) {
-        self.attempted += 1;
-        self.failed += u32::from(raw.failed && raw.retryable);
-        self.causes.merge(&raw.causes);
-        let row = raw.intern(dict, interner);
-        self.data_points += u64::from(row.data_points);
-        self.table.push_row(&row.pack(self.day, self.source));
+        let mut batch = BatchBuilder::new(None);
+        batch.push(&raw);
+        self.push_batch(batch.finish(), dict, interner);
+    }
+
+    /// Interns `batch`'s name table into `dict` in order, which assigns
+    /// new ids exactly as interning its rows one by one would, then
+    /// appends the rows with their marked slots resolved.
+    pub fn push_batch(
+        &mut self,
+        batch: RowBatch,
+        dict: &mut StringDict,
+        interner: &mut SldInterner,
+    ) {
+        for BatchRow {
+            row,
+            retryable,
+            causes,
+            ..
+        } in batch.resolve(dict, interner)
+        {
+            self.attempted += 1;
+            self.failed += u32::from(row.failed && retryable);
+            self.causes.merge(&causes);
+            self.data_points += u64::from(row.data_points);
+            self.table.push_row(&row.pack(self.day, self.source));
+        }
     }
 
     /// The finished page. An unsupervised sweep never retries, so its
@@ -371,9 +398,9 @@ impl PageBuilder {
 }
 
 /// Streaming-generation memory contract: at most this many entries'
-/// worth of raw rows are in flight per source sweep. The day's rows are
-/// generated block by block and interned into the page builder as each
-/// block lands, so peak raw-row memory is `O(STREAM_BLOCK_ENTRIES)`
+/// worth of collected rows are in flight per source sweep. The day's rows
+/// are generated block by block and interned into the page builder as
+/// each block lands, so peak collected-row memory is `O(STREAM_BLOCK_ENTRIES)`
 /// regardless of scale — never a whole-day `Vec`. Interning still walks
 /// entries in list order, so the produced archive is byte-identical to a
 /// whole-day materialization.
@@ -382,7 +409,7 @@ pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 /// Drives a full study over a world using the bulk query path.
 pub struct Study {
     config: StudyConfig,
-    /// Raw-row streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
+    /// Collection streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
     stream_block: usize,
     /// Shard files for a freshly created archive (1 = single-file).
     shards: u32,
@@ -458,8 +485,10 @@ impl Study {
     /// current day.
     ///
     /// The input list is fanned out over the crossbeam worker cloud
-    /// (paper Fig. 1): workers collect raw rows against the immutable
-    /// world; this (manager) thread dictionary-encodes them in list order.
+    /// (paper Fig. 1): workers collect rows against the immutable world
+    /// and encode every name the run-wide interner already knows through
+    /// a read-only view of it; this (manager) thread interns only the
+    /// first-seen names, batch by batch in list order.
     fn collect_day(
         &self,
         world: &World,
@@ -472,17 +501,17 @@ impl Study {
         for source in due_sources_for(&self.config, day) {
             let entries = source_entries(world, source);
             // Streaming generation: walk the entry list in bounded blocks.
-            // Each block fans out over the worker cloud, lands as raw rows,
-            // and is interned into the page builder immediately — so raw
-            // rows for at most `stream_block` entries exist at any moment,
-            // not the whole day (the fixed-memory contract of
-            // [`STREAM_BLOCK_ENTRIES`]). Blocks, chunks, and rows all keep
+            // Each block fans out over the worker cloud, lands as row
+            // batches, and is interned into the page builder immediately —
+            // so rows for at most `stream_block` entries exist at any
+            // moment, not the whole day (the fixed-memory contract of
+            // [`STREAM_BLOCK_ENTRIES`]). Blocks, batches, and rows all keep
             // entry-list order, so the output is byte-identical to a
             // whole-day materialization.
             let mut page = PageBuilder::new(day, source);
             for block in entries.chunks(self.stream_block.max(1)) {
-                for raw in collect_entries(world, block, &pfx2as).into_iter().flatten() {
-                    page.push_raw(raw, dict, interner);
+                for batch in collect_entries(world, block, &pfx2as, Some(interner)) {
+                    page.push_batch(batch, dict, interner);
                 }
             }
             out.push(page.finish());

@@ -266,6 +266,12 @@ impl ArchiveWriter {
     /// again. After this returns, a crash loses nothing committed. A
     /// commit with no new pages and no new dictionary entries is a no-op
     /// (the durable footer chain already describes the file).
+    ///
+    /// `dict` must extend the committed dictionary. That is checked
+    /// cheaply: it must be at least as long and agree on the last
+    /// committed id. Only its new tail is copied into
+    /// [`dict`](Self::dict), so a commit costs nothing per string already
+    /// committed.
     pub fn commit(&mut self, dict: &StringDict) -> io::Result<()> {
         self.check_not_poisoned()?;
         let dict_len = dict.len() as u64;
@@ -273,6 +279,14 @@ impl ArchiveWriter {
             return Err(io::Error::other(
                 "dps-store: commit dictionary is shorter than the committed one",
             ));
+        }
+        if let Some(last) = self.committed_dict_len.checked_sub(1) {
+            let last = last as u32;
+            if dict.resolve(last) != self.catalog.dict.resolve(last) {
+                return Err(io::Error::other(
+                    "dps-store: commit dictionary does not extend the committed one",
+                ));
+            }
         }
         if self.pending_pages.is_empty()
             && dict_len == self.committed_dict_len
@@ -312,7 +326,9 @@ impl ArchiveWriter {
         })?;
         self.data_end += tail.len() as u64;
         self.prev_trailer_end = self.data_end;
-        self.catalog.dict = dict.clone();
+        for s in delta.dict_tail {
+            self.catalog.dict.intern(&s);
+        }
         self.committed_dict_len = dict_len;
         Ok(())
     }
@@ -359,6 +375,41 @@ mod tests {
         let w = ArchiveWriter::resume(&path, None).unwrap();
         assert!(w.contains(0, 0));
         assert!(!w.contains(1, 0), "day 1 never reached a durable footer");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A commit whose dictionary disagrees with the committed one on the
+    /// last committed id is refused before any byte is written, and the
+    /// writer stays usable with the right dictionary.
+    #[test]
+    fn commit_refuses_a_dictionary_that_does_not_extend_the_committed_one() {
+        let dir = std::env::temp_dir().join(format!("dps-store-dict-{}", std::process::id()));
+        let path = dir.join("archive.dps");
+        let dict_of = |strings: &[&str]| {
+            let mut d = StringDict::new();
+            for s in strings {
+                d.intern(s);
+            }
+            d
+        };
+        let mut w = ArchiveWriter::create(&path, None).unwrap();
+        w.append_table(0, 0, &day_table(0), 1).unwrap();
+        w.commit(&dict_of(&["a", "b"])).unwrap();
+        w.append_table(1, 0, &day_table(1), 1).unwrap();
+        let appended = std::fs::read(&path).unwrap();
+
+        let err = w.commit(&dict_of(&["a", "x", "y"])).unwrap_err();
+        assert!(err.to_string().contains("does not extend"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), appended, "no footer written");
+        assert!(w.commit(&dict_of(&["a"])).is_err(), "shorter");
+
+        let grown = dict_of(&["a", "b", "c"]);
+        w.commit(&grown).unwrap();
+        assert_eq!(w.dict().to_bytes(), grown.to_bytes());
+        drop(w);
+        let w = ArchiveWriter::resume(&path, None).unwrap();
+        assert_eq!(w.dict().to_bytes(), grown.to_bytes());
+        assert!(w.contains(1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,15 +1,18 @@
-//! Allocation budget of the bulk answer path.
+//! Allocation budget of the bulk answer path and of the day commit.
 //!
 //! Every name the simulated world generates fits `Name`'s inline storage,
 //! and each query path owns one answer buffer, so once a path has
 //! answered its first row, collecting a row touches no heap at all. These
 //! tests pin both facts, so a change to `Name` or to the answer model
 //! that moves per-row work back onto the heap fails here rather than only
-//! in a benchmark's counters.
+//! in a benchmark's counters. A commit copies only the dictionary's new
+//! tail into the writer, so its cost does not grow with the strings
+//! already committed; that is pinned here too.
 //!
 //! The counting allocator tallies per thread: other tests running in
 //! parallel in this binary cannot disturb a count.
 
+use dps_scope::columnar::{Schema, StringDict, Table, TableBuilder};
 use dps_scope::ecosystem::ZoneEntry;
 use dps_scope::measure::collector::{collect_raw, source_entries};
 use dps_scope::measure::observation::entry_code;
@@ -176,4 +179,84 @@ fn every_generated_name_fits_inline() {
     let longest: Name = "d4294967295.compute.amazonaws.com".parse().unwrap();
     assert_eq!(longest.wire_len(), 35);
     assert_inline(&longest, "longest generated name");
+}
+
+/// A fresh temp directory for one commit test.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dps-alloc-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn day_table(day: u32) -> Table {
+    let mut b = TableBuilder::new(Schema::new(&["day", "entry"]));
+    b.push_row(&[day, 7]);
+    b.finish()
+}
+
+/// A dictionary of `n` strings beyond the reserved empty one.
+fn dict_of(n: usize) -> StringDict {
+    let mut dict = StringDict::new();
+    for i in 0..n {
+        dict.intern(&format!("d{i}.example"));
+    }
+    dict
+}
+
+/// Allocations made by a commit that adds a page but no string, once
+/// `committed` strings are durable.
+fn commit_allocs(committed: usize) -> u64 {
+    let dir = temp_dir(&format!("commit-{committed}"));
+    let path = dir.join("archive.dps");
+    let dict = dict_of(committed);
+    let mut writer = StoreWriter::create_store(&path, 1, None).unwrap();
+    writer.append_table(0, 0, &day_table(0), 1).unwrap();
+    writer.commit(&dict).unwrap();
+    writer.append_table(1, 0, &day_table(1), 1).unwrap();
+    let before = allocs();
+    writer.commit(&dict).unwrap();
+    let made = allocs() - before;
+    drop(writer);
+    std::fs::remove_dir_all(&dir).ok();
+    made
+}
+
+#[test]
+fn a_commit_costs_nothing_per_committed_string() {
+    let small = commit_allocs(10);
+    let large = commit_allocs(10_000);
+    assert_eq!(small, large, "10 strings: {small}, 10,000 strings: {large}");
+}
+
+/// After several commits, and after a resume, the writer's dictionary is
+/// the caller's, for a single file and for a sharded store.
+#[test]
+fn the_writer_dictionary_tracks_the_callers_across_commits_and_resume() {
+    for shards in [1, 3] {
+        let dir = temp_dir(&format!("dict-{shards}"));
+        let path = dir.join("archive.dps");
+        let mut dict = StringDict::new();
+        let mut writer = StoreWriter::create_store(&path, shards, None).unwrap();
+        for day in 0..4u32 {
+            for i in 0..day * 3 {
+                dict.intern(&format!("d{day}-{i}.example"));
+            }
+            writer.append_table(day, 0, &day_table(day), 1).unwrap();
+            writer.commit(&dict).unwrap();
+            assert_eq!(
+                writer.dict().to_bytes(),
+                dict.to_bytes(),
+                "shards {shards}, day {day}"
+            );
+        }
+        drop(writer);
+        let writer = StoreWriter::resume_or_create(&path, shards, None).unwrap();
+        assert_eq!(
+            writer.dict().to_bytes(),
+            dict.to_bytes(),
+            "shards {shards}, resumed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
